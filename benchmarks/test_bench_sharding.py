@@ -18,9 +18,10 @@ A second sweep compares the two shard *execution backends* at 1/2/4/8
 workers: GIL-bound thread fan-out versus the multiprocess backend
 (:mod:`repro.core.shard.procpool`), which ships queries to worker
 interpreters and returns columnar id buffers.  Results and per-shard page
-counts must be bit-identical between backends at every scale; the CPU
-speedup assertion additionally needs real cores (``os.cpu_count() >= 4``)
-and full-size posting lists.
+counts must be bit-identical between backends at every scale.  Two CPU
+assertions need full-size posting lists and real cores: the backend's keep
+rule (processes at least 1.5x faster than threads at 2 workers, >= 2 usable
+cores) and the 2.5x floor at 4 workers (>= 4 usable cores).
 
 Small (1 KB) pages keep the page-access signal visible at benchmark scale.
 """
@@ -416,6 +417,14 @@ def test_process_overhead_is_bounded(backend_table):
     """Even with no spare cores, columnar IPC keeps the backend competitive."""
     _, timings = backend_table
     assert timings[("processes", 4)] <= timings[("threads", 1)] * 1.75
+
+
+@pytest.mark.skipif(BENCH_SCALE < 1, reason="CPU signal needs full-size lists")
+@pytest.mark.skipif(HOST_CPUS < 2, reason="the keep rule needs >= 2 usable cores")
+def test_process_backend_earns_its_keep_at_two_workers(backend_table):
+    """The backend's keep-or-delete rule: >= 1.5x over threads at 2 workers."""
+    _, timings = backend_table
+    assert timings[("processes", 2)] * 1.5 <= timings[("threads", 2)]
 
 
 @pytest.mark.skipif(BENCH_SCALE < 1, reason="CPU signal needs full-size lists")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 
 from repro import InvertedFile, OrderedInvertedFile
+from repro.core.query.expr import leaf_for
 from repro.core.records import Dataset
 
 PRODUCTS = [
@@ -80,7 +81,7 @@ def main() -> None:
         print(f"{description}\n  query: {predicate} {sorted(items)}")
         for index in (inverted_file, oif):
             index.drop_cache()
-            result = index.measured_query(predicate, items)
+            result = index.measured_execute(leaf_for(predicate, items))
             print(
                 f"  {index.name:>3}: {result.cardinality:5d} baskets, "
                 f"{result.page_accesses:4d} page accesses, "

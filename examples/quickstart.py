@@ -13,6 +13,7 @@ inverted file on both answers and I/O cost.
 from __future__ import annotations
 
 from repro import Dataset, InvertedFile, OrderedInvertedFile
+from repro.core.query.expr import leaf_for
 
 # The example relation of Figure 1 in the paper: 18 records over items a..j.
 TRANSACTIONS = [
@@ -54,7 +55,7 @@ def main() -> None:
         print(f"{predicate} query {sorted(items)} — {description}")
         for index in (inverted_file, oif):
             index.drop_cache()
-            result = index.measured_query(predicate, items)
+            result = index.measured_execute(leaf_for(predicate, items))
             print(
                 f"  {index.name:>3}: records {list(result.record_ids)} "
                 f"({result.page_accesses} page accesses)"

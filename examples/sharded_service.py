@@ -7,7 +7,8 @@ Run with::
 The script partitions a synthetic weblog-style dataset over four shards,
 shows that the sharded index answers every query exactly like the monolithic
 one (while `limit` still stops reading pages early), pushes updates through
-the per-shard delta buffers, and finally serves the sharded index over HTTP —
+the delta buffer into per-shard flushes, and finally serves the sharded index
+over HTTP —
 the same thing ``repro-oif serve --data ... --shards 4`` does — with the
 per-shard breakdown the ``/stats`` endpoint exposes.
 """

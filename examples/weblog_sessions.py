@@ -21,6 +21,7 @@ later merged.
 from __future__ import annotations
 
 from repro import InvertedFile, OrderedInvertedFile
+from repro.core.query.expr import Subset, leaf_for
 from repro.core.updates import UpdatableOIF
 from repro.datasets import MswebConfig, generate_msweb
 from repro.datasets.msweb import area_name
@@ -57,7 +58,7 @@ def main() -> None:
         print(f"{description}\n  query: {predicate} {sorted(map(str, items))}")
         for index in (inverted_file, oif):
             index.drop_cache()
-            result = index.measured_query(predicate, items)
+            result = index.measured_execute(leaf_for(predicate, items))
             print(
                 f"  {index.name:>3}: {result.cardinality:5d} sessions, "
                 f"{result.page_accesses:4d} page accesses"
@@ -70,9 +71,9 @@ def main() -> None:
     updatable.insert(set(record.items) for record in new_day)
     print(f"buffered {updatable.pending_updates} fresh sessions in the in-memory delta index")
     probe = {area_name(0)}
-    before = len(updatable.subset_query(probe))
+    before = len(updatable.evaluate(Subset(probe)))
     report = updatable.flush()
-    after = len(updatable.subset_query(probe))
+    after = len(updatable.evaluate(Subset(probe)))
     print(
         f"merged them in {report.merge_seconds * 1000:.1f} ms "
         f"({report.seconds_per_record * 1000:.3f} ms per session); "

@@ -8,7 +8,7 @@ accounting, dataset generators, query workloads and the full experiment suite.
 
 Quick start::
 
-    from repro import Dataset, OrderedInvertedFile
+    from repro import Dataset, Equality, OrderedInvertedFile, Subset, Superset
 
     data = Dataset.from_transactions([
         {"milk", "bread"},
@@ -16,9 +16,9 @@ Quick start::
         {"eggs"},
     ])
     oif = OrderedInvertedFile(data)
-    oif.subset_query({"milk", "bread"})      # -> [1, 2]
-    oif.equality_query({"eggs"})             # -> [3]
-    oif.superset_query({"milk", "bread"})    # -> [1]
+    oif.evaluate(Subset({"milk", "bread"}))      # -> [1, 2]
+    oif.evaluate(Equality({"eggs"}))             # -> [3]
+    oif.evaluate(Superset({"milk", "bread"}))    # -> [1]
 
 For serving workloads, :mod:`repro.service` keeps indexes resident and answers
 queries concurrently with result caching (``repro-oif serve``).  See the

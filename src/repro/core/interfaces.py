@@ -6,16 +6,16 @@ All of them answer the same three predicates, so they implement one abstract
 base class, :class:`SetContainmentIndex`, and the experiment runner treats
 them interchangeably.
 
-Since the query-expression redesign, the single entry point is
-:meth:`SetContainmentIndex.execute`: it accepts any
-:class:`~repro.core.query.expr.Expr` (leaves, ``And``/``Or``/``Not``
+The single entry point is :meth:`SetContainmentIndex.execute`: it accepts
+any :class:`~repro.core.query.expr.Expr` (leaves, ``And``/``Or``/``Not``
 combinations, ``limit``/``offset`` modifiers), plans it rarest-conjunct-first
 with the dataset's item-frequency statistics and returns a streaming
-:class:`~repro.core.query.cursor.Cursor`.  Subclasses implement only the
-three per-predicate probe primitives (``_probe_subset`` /
-``_probe_equality`` / ``_probe_superset``); the historical ``subset_query`` /
-``equality_query`` / ``superset_query`` / ``query`` / ``measured_query``
-methods remain as thin compatibility shims over ``execute``.
+:class:`~repro.core.query.cursor.Cursor`.  :meth:`~SetContainmentIndex.evaluate`
+materializes that cursor and :meth:`~SetContainmentIndex.measured_execute`
+packages it with its I/O cost; a single predicate named by string is the leaf
+``QueryType.parse(name).leaf(items)``.  Subclasses implement only the three
+per-predicate probe primitives (``_probe_subset`` / ``_probe_equality`` /
+``_probe_superset``).
 """
 
 from __future__ import annotations
@@ -240,30 +240,6 @@ class SetContainmentIndex(ABC):
             decoded_hits=delta.decoded_hits,
             decoded_misses=delta.decoded_misses,
         )
-
-    # -- compatibility shims over the expression API ---------------------------------
-
-    def subset_query(self, items: Iterable[Item]) -> list[int]:
-        """Records ``t`` with ``qs ⊆ t.s``."""
-        return self.evaluate(Subset(frozenset(items)))
-
-    def equality_query(self, items: Iterable[Item]) -> list[int]:
-        """Records ``t`` with ``qs = t.s``."""
-        return self.evaluate(Equality(frozenset(items)))
-
-    def superset_query(self, items: Iterable[Item]) -> list[int]:
-        """Records ``t`` with ``t.s ⊆ qs``."""
-        return self.evaluate(Superset(frozenset(items)))
-
-    def query(self, query_type: "QueryType | str", items: Iterable[Item]) -> list[int]:
-        """Dispatch to the right predicate by :class:`QueryType`."""
-        return self.evaluate(QueryType.parse(query_type).leaf(items))
-
-    def measured_query(
-        self, query_type: "QueryType | str", items: Iterable[Item]
-    ) -> QueryResult:
-        """Single-predicate :meth:`measured_execute` (kept for compatibility)."""
-        return self.measured_execute(QueryType.parse(query_type).leaf(items))
 
     # -- instrumentation -----------------------------------------------------------
 

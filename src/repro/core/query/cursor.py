@@ -7,7 +7,7 @@ cursor is closed, instead of materializing the full result set first.
 
 Ids are yielded in *plan order* — the order the driving probe produces them —
 which for disk-backed indexes is physical (page) order, not ascending id
-order.  Materializing callers (the ``*_query`` compatibility shims, the
+order.  Materializing callers (``evaluate``, ``measured_execute``, the
 experiment runner) sort afterwards; a cursor never yields the same id twice.
 
 Each cursor owns a :class:`~repro.storage.stats.ReadContext` that every page

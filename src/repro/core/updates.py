@@ -14,8 +14,12 @@ The difference between the two structures lies in the merge step:
   is paid back because queries vastly outnumber updates in the target
   workloads (the break-even ratio reported is ~766 updates per query).
 
-This module provides the delta buffer, updatable wrappers around both index
-types and the :class:`UpdateReport` used by the update experiment.
+The delta is a plain record buffer: its records are few and memory
+resident, so a query checks each one with the expression's per-record
+semantics (:meth:`~repro.core.query.expr.Expr.matches`) and unions the
+matches into the disk index's answer.  This module provides that buffer,
+updatable wrappers around both index types (plus the sharded OIF) and the
+:class:`UpdateReport` used by the update experiment.
 """
 
 from __future__ import annotations
@@ -26,11 +30,10 @@ from typing import Callable, Iterable
 
 from repro.baselines.inverted_file import InvertedFile
 from repro.concurrency import ReadWriteLock
-from repro.core.interfaces import QueryType, SetContainmentIndex
 from repro.core.items import Item
 from repro.core.oif import OrderedInvertedFile
 from repro.core.records import Dataset, Record
-from repro.core.shard import Partitioner, ShardedIndex
+from repro.core.shard import ShardedIndex
 from repro.errors import QueryError
 from repro.obs import trace
 from repro.storage.kvstore import Environment
@@ -38,17 +41,20 @@ from repro.storage.stats import IOSnapshot
 
 
 class DeltaInvertedFile:
-    """Small, memory-resident inverted file holding not-yet-merged records."""
+    """Memory-resident buffer of the records not yet merged into the disk index.
+
+    A plain id -> item-set map with no per-item lists: every query path
+    checks the buffered records one by one in
+    :meth:`_UpdatableBase._merge_delta_and_slice`, and sharded flushes group
+    them by owner in :meth:`~repro.core.shard.ShardedIndex.absorb`.
+    """
 
     def __init__(self) -> None:
-        self._lists: dict[Item, list[tuple[int, int]]] = {}
         self._records: dict[int, frozenset] = {}
 
     def add(self, record: Record) -> None:
-        """Index one fresh record."""
+        """Buffer one fresh record."""
         self._records[record.record_id] = record.items
-        for item in record.items:
-            self._lists.setdefault(item, []).append((record.record_id, record.length))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -58,124 +64,16 @@ class DeltaInvertedFile:
 
     def remove(self, record_id: int) -> frozenset:
         """Un-buffer one pending record (a delete caught it before any merge)."""
-        items = self._records.pop(record_id)
-        for item in items:
-            postings = [entry for entry in self._lists[item] if entry[0] != record_id]
-            if postings:
-                self._lists[item] = postings
-            else:
-                del self._lists[item]
-        return items
+        return self._records.pop(record_id)
 
     @property
     def records(self) -> list[Record]:
-        """The buffered records, in insertion order of their ids."""
+        """The buffered records, in ascending id order."""
         return [Record(record_id, items) for record_id, items in sorted(self._records.items())]
 
     def clear(self) -> None:
         """Drop the buffer (after a successful merge)."""
-        self._lists.clear()
         self._records.clear()
-
-    # -- queries over the buffered records ------------------------------------------
-
-    def subset_query(self, items: Iterable[Item]) -> list[int]:
-        query = frozenset(items)
-        lists = [self._lists.get(item, []) for item in query]
-        if any(not postings for postings in lists):
-            return []
-        lists.sort(key=len)
-        result = {record_id for record_id, _ in lists[0]}
-        for postings in lists[1:]:
-            result &= {record_id for record_id, _ in postings}
-        return sorted(result)
-
-    def equality_query(self, items: Iterable[Item]) -> list[int]:
-        query = frozenset(items)
-        return sorted(
-            record_id
-            for record_id in self.subset_query(query)
-            if self._records[record_id] == query
-        )
-
-    def superset_query(self, items: Iterable[Item]) -> list[int]:
-        query = frozenset(items)
-        counts: dict[int, int] = {}
-        lengths: dict[int, int] = {}
-        for item in query:
-            for record_id, length in self._lists.get(item, []):
-                counts[record_id] = counts.get(record_id, 0) + 1
-                lengths[record_id] = length
-        return sorted(rid for rid, count in counts.items() if count == lengths[rid])
-
-    def query(self, query_type: "QueryType | str", items: Iterable[Item]) -> list[int]:
-        """Dispatch helper mirroring :class:`SetContainmentIndex.query`.
-
-        Goes through :meth:`QueryType.parse`, so the delta path shares the
-        disk path's validation (and its error message) instead of duplicating
-        string comparisons.
-        """
-        query_type = QueryType.parse(query_type)
-        if query_type is QueryType.SUBSET:
-            return self.subset_query(items)
-        if query_type is QueryType.EQUALITY:
-            return self.equality_query(items)
-        return self.superset_query(items)
-
-
-class ShardedDeltaBuffer:
-    """Per-shard delta buffers behind the :class:`DeltaInvertedFile` interface.
-
-    Fresh records are routed by the owning index's partitioner on ``add``, so
-    at flush time each shard's pending records are already grouped — the
-    merge rebuilds exactly the shards with a non-empty buffer and leaves the
-    rest untouched.  The query/iteration surface aggregates over all buffers,
-    keeping :class:`_UpdatableBase`'s delta-aware paths oblivious to the
-    partitioning.
-    """
-
-    def __init__(self, partitioner: Partitioner) -> None:
-        self.partitioner = partitioner
-        self._buffers = [DeltaInvertedFile() for _ in range(partitioner.num_shards)]
-
-    def add(self, record: Record) -> None:
-        """Buffer one fresh record in its shard's delta."""
-        self._buffers[self.partitioner.shard_of(record.record_id)].add(record)
-
-    def __len__(self) -> int:
-        return sum(len(buffer) for buffer in self._buffers)
-
-    def __contains__(self, record_id: int) -> bool:
-        return record_id in self._buffers[self.partitioner.shard_of(record_id)]
-
-    def remove(self, record_id: int) -> frozenset:
-        """Un-buffer one pending record from its shard's delta."""
-        return self._buffers[self.partitioner.shard_of(record_id)].remove(record_id)
-
-    @property
-    def records(self) -> list[Record]:
-        """All buffered records across shards, ordered by id."""
-        merged = [record for buffer in self._buffers for record in buffer.records]
-        merged.sort(key=lambda record: record.record_id)
-        return merged
-
-    def clear(self) -> None:
-        for buffer in self._buffers:
-            buffer.clear()
-
-    def pending_per_shard(self) -> list[int]:
-        """Buffered record count per shard position."""
-        return [len(buffer) for buffer in self._buffers]
-
-    def query(self, query_type: "QueryType | str", items: Iterable[Item]) -> list[int]:
-        """Aggregate one predicate over every shard's buffer (ids ascending)."""
-        query_type = QueryType.parse(query_type)
-        out: list[int] = []
-        for buffer in self._buffers:
-            if len(buffer):
-                out.extend(buffer.query(query_type, items))
-        out.sort()
-        return out
 
 
 @dataclass(frozen=True)
@@ -225,7 +123,7 @@ class _UpdatableBase:
     def add_update_listener(self, listener: UpdateListener) -> None:
         """Register a callback fired after each :meth:`insert` batch.
 
-        Buffered records are immediately queryable through the delta index, so
+        Buffered records are immediately queryable through the delta buffer, so
         any cached result affected by them is stale from the moment ``insert``
         returns — which is why the hook fires on insert, not on flush (the
         merge changes the physical layout but not any query answer).
@@ -236,7 +134,7 @@ class _UpdatableBase:
         """Buffer new records in the memory-resident delta; returns their ids.
 
         Exclusive: takes the write side of :attr:`rwlock`, so no query reads
-        the delta structures mid-mutation.  Listeners fire while the lock is
+        the delta buffer mid-mutation.  Listeners fire while the lock is
         still held — a cache invalidation is therefore ordered after every
         result cached under the pre-insert state.
         """
@@ -316,48 +214,9 @@ class _UpdatableBase:
             records.extend(self.delta.records)
             return Dataset(records)
 
-    def _combined(self, index: SetContainmentIndex, query_type: str, items: Iterable[Item]) -> list[int]:
-        with self.rwlock.read_locked():
-            item_set = frozenset(items)
-            base = index.query(query_type, item_set)
-            if self._tombstones:
-                base = [rid for rid in base if rid not in self._tombstones]
-            fresh = self.delta.query(query_type, item_set) if len(self.delta) else []
-            return sorted(set(base) | set(fresh))
-
-    def query(self, query_type, items: Iterable[Item]) -> list[int]:
-        """Dispatch helper mirroring :meth:`SetContainmentIndex.query`."""
-        return self._combined(self.index, QueryType.parse(query_type).value, items)
-
-    # -- the delta-aware point predicates (shared by every wrapper) ------------------
-
-    def subset_query(self, items: Iterable[Item]) -> list[int]:
-        return self._combined(self.index, "subset", items)
-
-    def equality_query(self, items: Iterable[Item]) -> list[int]:
-        return self._combined(self.index, "equality", items)
-
-    def superset_query(self, items: Iterable[Item]) -> list[int]:
-        return self._combined(self.index, "superset", items)
-
     def evaluate(self, expr) -> list[int]:
-        """Answer a query expression over the disk index *and* the delta buffer.
-
-        The base index evaluates the expression through its planner/cursor
-        machinery; the buffered records — memory resident and few — are
-        checked with the expression's per-record semantics.  A ``limit`` is
-        applied only after merging, so a buffered record cannot be shadowed
-        by an early-stopping disk cursor.
-        """
-        from repro.core.query.expr import Expr, split_limit
-
-        if not isinstance(expr, Expr):
-            raise QueryError(f"evaluate() needs a query expression, got {expr!r}")
-        with self.rwlock.read_locked():
-            normalized, count, offset = split_limit(expr)
-            return self._merge_delta_and_slice(
-                self.index.evaluate(normalized), normalized, count, offset
-            )
+        """Answer a query expression over the disk index *and* the delta buffer."""
+        return self.measured_evaluate(expr)[0]
 
     def flush(self) -> UpdateReport:
         """Merge the delta buffer into the disk index, exclusively.
@@ -375,18 +234,19 @@ class _UpdatableBase:
         raise NotImplementedError
 
     def measured_evaluate(self, expr) -> "tuple[list[int], IOSnapshot]":
-        """Like :meth:`evaluate`, plus the exact I/O delta of this query.
+        """Answer ``expr`` over the disk index and the delta, plus its exact I/O.
 
-        The disk index evaluates through a cursor whose read context is
-        charged with exactly this traversal, so the returned
-        :class:`~repro.storage.stats.IOSnapshot` stays correct when many
-        queries run concurrently on the same handle; the delta-buffer merge
-        is memory resident and costs no pages.
+        The disk index evaluates the expression through its planner/cursor
+        machinery; the cursor's read context is charged with exactly this
+        traversal, so the returned :class:`~repro.storage.stats.IOSnapshot`
+        stays correct when many queries run concurrently on the same handle.
+        The buffered records are merged in by :meth:`_merge_delta_and_slice`,
+        memory resident and free of page cost, before any ``limit`` applies.
         """
         from repro.core.query.expr import Expr, split_limit
 
         if not isinstance(expr, Expr):
-            raise QueryError(f"measured_evaluate() needs a query expression, got {expr!r}")
+            raise QueryError(f"expected a query expression, got {expr!r}")
         with self.rwlock.read_locked():
             normalized, count, offset = split_limit(expr)
             cursor = self.index.execute(normalized)
@@ -507,14 +367,14 @@ def _shard_factory(
 
 
 class UpdatableShardedOIF(_UpdatableBase):
-    """Sharded OIF with per-shard delta buffers and independent shard flushes.
+    """Sharded OIF with one delta buffer and independent shard flushes.
 
-    Inserts route to the delta buffer of the shard that will own the record
-    (same deterministic partitioner as the index), so :meth:`flush` merges by
-    rebuilding *only the shards with pending records* — typically a fraction
-    of the monolithic ``UpdatableOIF.flush`` rebuild.  With ``max_workers``
-    (or a pool-sized default from the service layer) the affected shards
-    rebuild concurrently.
+    :meth:`flush` hands the buffered records to
+    :meth:`ShardedIndex.absorb`, which groups them by the index's
+    deterministic partitioner and rebuilds *only the shards with pending
+    records* — typically a fraction of the monolithic ``UpdatableOIF.flush``
+    rebuild.  With ``max_workers`` (or a pool-sized default from the service
+    layer) the affected shards rebuild concurrently.
     """
 
     def __init__(
@@ -546,7 +406,6 @@ class UpdatableShardedOIF(_UpdatableBase):
                 max_workers=max_workers,
                 **self._oif_kwargs,
             )
-        self.delta = ShardedDeltaBuffer(self.index.partitioner)
 
     @classmethod
     def from_existing(
@@ -563,7 +422,6 @@ class UpdatableShardedOIF(_UpdatableBase):
         wrapper._oif_kwargs = dict(oif_kwargs)
         wrapper._env_factory = env_factory
         wrapper.index = index
-        wrapper.delta = ShardedDeltaBuffer(index.partitioner)
         return wrapper
 
     @property
@@ -572,10 +430,14 @@ class UpdatableShardedOIF(_UpdatableBase):
 
     def pending_per_shard(self) -> list[int]:
         """Buffered record count per shard position (flush planning, /stats)."""
-        return self.delta.pending_per_shard()
+        counts = [0] * self.num_shards
+        with self.rwlock.read_locked():
+            for record in self.delta.records:
+                counts[self.index.partitioner.shard_of(record.record_id)] += 1
+        return counts
 
     def flush(self, max_workers: "int | None" = None) -> UpdateReport:
-        """Merge the per-shard deltas by rebuilding only the affected shards."""
+        """Merge the delta by rebuilding only the shards that own its records."""
         with self.rwlock.write_locked():
             merged_count = len(self.delta) + len(self._tombstones)
             start = time.perf_counter()

@@ -43,7 +43,7 @@ from repro.baselines.naive import NaiveScanIndex
 from repro.baselines.signature_file import SignatureFile
 from repro.baselines.unordered_btree import UnorderedBTreeInvertedFile
 from repro.concurrency import ReadWriteLock
-from repro.core.interfaces import QueryType, SetContainmentIndex
+from repro.core.interfaces import SetContainmentIndex
 from repro.core.items import Item
 from repro.core.records import Dataset
 from repro.core.shard import ShardProcessPool, ShardQueryStat
@@ -369,11 +369,6 @@ class ManagedIndex:
 
     # -- serving operations ----------------------------------------------------------
 
-    def query(self, query_type: "QueryType | str", items: Iterable[Item]) -> list[int]:
-        """Answer one containment query (delta-aware for updatable kinds)."""
-        with self.lock.read_locked():
-            return self._handle.query(query_type, items)
-
     def evaluate(self, expr) -> list[int]:
         """Answer one query expression (delta-aware for updatable kinds)."""
         with self.lock.read_locked():
@@ -421,12 +416,6 @@ class ManagedIndex:
                 decoded_misses=result.decoded_misses,
             )
             return result.record_ids, delta, None
-
-    def measured_query(
-        self, query_type: "QueryType | str", items: Iterable[Item]
-    ) -> "tuple[tuple[int, ...], IOSnapshot, tuple[ShardQueryStat, ...] | None]":
-        """Point-predicate :meth:`measured_expr`."""
-        return self.measured_expr(QueryType.parse(query_type).leaf(items))
 
     def close(self) -> None:
         """Release per-entry resources.

@@ -31,6 +31,7 @@ from repro.compression.postings import (
     encode_columns,
 )
 from repro.core import Dataset, OrderedInvertedFile
+from repro.core.query.expr import leaf_for
 
 # Strictly increasing ids with arbitrary gap widths (1-byte to multi-byte
 # varints) paired with lengths spanning the single/multi-byte boundary.
@@ -147,8 +148,8 @@ class TestQueryEquivalence:
         ]
         for query in queries:
             for predicate in ("subset", "equality", "superset"):
-                expected = oracle.query(predicate, query)
+                expected = oracle.evaluate(leaf_for(predicate, query))
                 for index in indexes:
-                    assert index.query(predicate, query) == expected, (
+                    assert index.evaluate(leaf_for(predicate, query)) == expected, (
                         f"{index.name} diverged on {predicate} {sorted(query)}"
                     )

@@ -25,7 +25,7 @@ import pytest
 
 from repro.concurrency import ReadWriteLock
 from repro.core.oif import OrderedInvertedFile
-from repro.core.query import And, Equality, Or, Subset, Superset
+from repro.core.query import And, Equality, Or, Subset, Superset, leaf_for
 from repro.core.records import Dataset
 from repro.core.updates import UpdatableOIF
 from repro.service import IndexManager, QueryExecutor, ResultCache
@@ -310,14 +310,14 @@ class TestConcurrentUpdatableHandle:
         dataset = _dataset(num_records=120)
         handle = UpdatableOIF(dataset)
         item = sorted(dataset.vocabulary, key=str)[0]
-        base_ids = handle.subset_query({item})
+        base_ids = handle.evaluate(Subset({item}))
 
         stop = threading.Event()
         failures: list[str] = []
 
         def reader() -> None:
             while not stop.is_set():
-                ids = handle.subset_query({item})
+                ids = handle.evaluate(Subset({item}))
                 # Subset answers only grow under inserts; a torn read would
                 # show ids outside both the pre- and post-insert answers.
                 if not set(base_ids) <= set(ids):
@@ -336,7 +336,7 @@ class TestConcurrentUpdatableHandle:
             thread.join(timeout=30.0)
         assert not any(thread.is_alive() for thread in readers)
         assert failures == []
-        final = handle.subset_query({item})
+        final = handle.evaluate(Subset({item}))
         assert set(base_ids) | set(inserted) == set(final)
 
 
@@ -356,7 +356,7 @@ class TestServiceReadPath:
             answers: list = []
 
             def query() -> None:
-                answers.append(entry.query("subset", {"i0"}))
+                answers.append(entry.evaluate(leaf_for("subset", {"i0"})))
                 done.set()
 
             thread = threading.Thread(target=query)

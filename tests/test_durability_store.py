@@ -40,7 +40,7 @@ def build_durable(directory: str, *, shards: int = 1, **oif_kwargs) -> DurableIn
 
 def all_answers(handle) -> dict:
     return {
-        (query_type, item): tuple(handle.query(query_type, {item}))
+        (query_type, item): tuple(handle.evaluate(leaf_for(query_type, {item})))
         for query_type in ("subset", "equality", "superset")
         for item in ITEMS + ["new1", "new2"]
     }

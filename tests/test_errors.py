@@ -6,6 +6,7 @@ import pytest
 
 from repro import errors
 from repro.core import Dataset, OrderedInvertedFile
+from repro.core.query.expr import Subset
 from repro.errors import (
     BTreeError,
     CompressionError,
@@ -55,7 +56,7 @@ class TestHierarchy:
 class TestErrorsInPractice:
     def test_query_errors_carry_useful_messages(self, paper_oif):
         with pytest.raises(QueryError) as excinfo:
-            paper_oif.subset_query(set())
+            paper_oif.evaluate(Subset(set()))
         assert "non-empty" in str(excinfo.value)
 
     def test_dataset_errors_name_the_problem(self):
@@ -73,4 +74,4 @@ class TestErrorsInPractice:
     def test_index_usage_before_build(self, paper_dataset):
         oif = OrderedInvertedFile(paper_dataset, build=False)
         with pytest.raises(errors.IndexNotBuiltError):
-            oif.subset_query({"a"})
+            oif.evaluate(Subset({"a"}))

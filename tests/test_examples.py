@@ -36,10 +36,10 @@ class TestExamples:
         module = load_example("market_basket")
         dataset = module.simulate_baskets(800)
         assert len(dataset) == 800
-        from repro import OrderedInvertedFile
+        from repro import OrderedInvertedFile, Subset
 
         oif = OrderedInvertedFile(dataset)
-        result = oif.subset_query({"milk", "bread"})
+        result = oif.evaluate(Subset({"milk", "bread"}))
         assert all(dataset.get(record_id).contains_all({"milk", "bread"}) for record_id in result)
 
     def test_scaling_study_runs_small(self, capsys):

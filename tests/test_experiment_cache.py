@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import OrderedInvertedFile
+from repro.core.query.expr import Subset
 from repro.datasets.msnbc import MsnbcConfig
 from repro.datasets.msweb import MswebConfig
 from repro.datasets.synthetic import SyntheticConfig
@@ -61,6 +62,6 @@ class TestFileBackedIndex:
     def test_oif_on_a_file_backed_environment(self, tmp_path, paper_dataset):
         env = Environment(path=str(tmp_path / "oif.pages"), page_size=1024, cache_bytes=8192)
         oif = OrderedInvertedFile(paper_dataset, env=env)
-        assert oif.subset_query({"a", "d"}) == [101, 104, 114]
+        assert oif.evaluate(Subset({"a", "d"})) == [101, 104, 114]
         env.close()
         assert (tmp_path / "oif.pages").stat().st_size == env.page_file.num_pages * 1024

@@ -11,6 +11,7 @@ except ImportError:
 
 from repro.baselines import InvertedFile, NaiveScanIndex
 from repro.core import OrderedInvertedFile
+from repro.core.query.expr import Subset, Superset, leaf_for
 from repro.core.updates import UpdatableIF, UpdatableOIF
 from repro.datasets import (
     MswebConfig,
@@ -41,9 +42,9 @@ class TestGenerateIndexQueryPipeline:
         for query_type in ("subset", "equality", "superset"):
             workload = generator.workload(query_type, sizes=[2, 3], queries_per_size=3)
             for query in workload:
-                expected = oracle.query(query_type, query.items)
-                assert oif.query(query_type, query.items) == expected
-                assert inverted.query(query_type, query.items) == expected
+                expected = oracle.evaluate(leaf_for(query_type, query.items))
+                assert oif.evaluate(leaf_for(query_type, query.items)) == expected
+                assert inverted.evaluate(leaf_for(query_type, query.items)) == expected
                 assert expected, "the workload generator must produce non-empty answers"
 
     def test_msweb_pipeline_with_runner(self):
@@ -73,8 +74,8 @@ class TestGenerateIndexQueryPipeline:
             wrapper.flush()
             oracle = NaiveScanIndex(wrapper.dataset)
             probe = next(iter(extra)).items
-            assert wrapper.subset_query(probe) == oracle.subset_query(probe)
-            assert wrapper.superset_query(probe) == oracle.superset_query(probe)
+            assert wrapper.evaluate(Subset(probe)) == oracle.evaluate(Subset(probe))
+            assert wrapper.evaluate(Superset(probe)) == oracle.evaluate(Superset(probe))
 
 
 class TestScalingBehaviour:

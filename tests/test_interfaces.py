@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.interfaces import QueryResult, QueryType
+from repro.core.query.expr import Equality, Subset, Superset, leaf_for
 from repro.errors import QueryError
 
 
@@ -28,18 +29,20 @@ class TestQueryType:
 class TestDispatch:
     def test_query_dispatch_matches_direct_calls(self, paper_oif):
         items = {"a", "d"}
-        assert paper_oif.query("subset", items) == paper_oif.subset_query(items)
-        assert paper_oif.query("equality", items) == paper_oif.equality_query(items)
-        assert paper_oif.query("superset", items) == paper_oif.superset_query(items)
+        for name, leaf_type in (("subset", Subset), ("equality", Equality), ("superset", Superset)):
+            leaf = QueryType.parse(name).leaf(items)
+            assert leaf == leaf_type(items)
+            assert paper_oif.evaluate(leaf) == paper_oif.evaluate(leaf_type(items))
 
     def test_query_dispatch_with_enum(self, paper_oif):
-        assert paper_oif.query(QueryType.SUBSET, {"a"}) == paper_oif.subset_query({"a"})
+        leaf = QueryType.parse(QueryType.SUBSET).leaf({"a"})
+        assert paper_oif.evaluate(leaf) == paper_oif.evaluate(Subset({"a"}))
 
 
 class TestMeasuredQuery:
     def test_measured_query_returns_costs(self, paper_oif):
         paper_oif.drop_cache()
-        result = paper_oif.measured_query("subset", {"a", "d"})
+        result = paper_oif.measured_execute(leaf_for("subset", {"a", "d"}))
         assert isinstance(result, QueryResult)
         assert result.record_ids == (101, 104, 114)
         assert result.cardinality == 3
@@ -51,13 +54,13 @@ class TestMeasuredQuery:
 
     def test_cold_query_costs_more_than_warm(self, skewed_oif):
         skewed_oif.drop_cache()
-        cold = skewed_oif.measured_query("subset", {skewed_oif.order.item_at(1)})
-        warm = skewed_oif.measured_query("subset", {skewed_oif.order.item_at(1)})
+        cold = skewed_oif.measured_execute(leaf_for("subset", {skewed_oif.order.item_at(1)}))
+        warm = skewed_oif.measured_execute(leaf_for("subset", {skewed_oif.order.item_at(1)}))
         assert warm.page_accesses <= cold.page_accesses
 
     def test_io_time_reflects_disk_model(self, skewed_oif):
         skewed_oif.drop_cache()
-        result = skewed_oif.measured_query("subset", {skewed_oif.order.item_at(2)})
+        result = skewed_oif.measured_execute(leaf_for("subset", {skewed_oif.order.item_at(2)}))
         model = skewed_oif.stats.disk_model
         expected = model.io_time_ms(result.random_reads, result.sequential_reads)
         assert result.io_time_ms == pytest.approx(expected)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.baselines import InvertedFile, NaiveScanIndex
 from repro.core import Dataset
+from repro.core.query.expr import Equality, Subset, Superset, leaf_for
 from repro.errors import QueryError
 from tests.conftest import sample_queries
 
@@ -15,23 +16,22 @@ from tests.conftest import sample_queries
 class TestPaperExamples:
     def test_subset_example(self, paper_dataset):
         index = InvertedFile(paper_dataset)
-        assert index.subset_query({"a", "d"}) == [101, 104, 114]
+        assert index.evaluate(Subset({"a", "d"})) == [101, 104, 114]
 
     def test_superset_example(self, paper_dataset):
         index = InvertedFile(paper_dataset)
-        assert index.superset_query({"a", "c"}) == [106, 113]
+        assert index.evaluate(Superset({"a", "c"})) == [106, 113]
 
     def test_equality_example(self, paper_dataset):
         index = InvertedFile(paper_dataset)
-        assert index.equality_query({"a", "c"}) == [106]
+        assert index.evaluate(Equality({"a", "c"})) == [106]
 
     def test_all_pairs_match_oracle(self, paper_dataset, paper_oracle):
         index = InvertedFile(paper_dataset)
         for pair in itertools.combinations("abcdefghij", 2):
             for query_type in ("subset", "equality", "superset"):
-                assert index.query(query_type, set(pair)) == paper_oracle.query(
-                    query_type, set(pair)
-                )
+                leaf = leaf_for(query_type, set(pair))
+                assert index.evaluate(leaf) == paper_oracle.evaluate(leaf)
 
 
 class TestStructure:
@@ -64,7 +64,7 @@ class TestStructure:
         top_item = index.order.item_at(0)
         index.drop_cache()
         before = index.stats.snapshot()
-        index.subset_query({top_item})
+        index.evaluate(Subset({top_item}))
         pages = index.stats.since(before).page_reads
         assert pages >= index.list_page_count(top_item)
 
@@ -73,23 +73,22 @@ class TestAgainstOracle:
     def test_random_queries(self, skewed_if, skewed_oracle, skewed_dataset):
         for query in sample_queries(skewed_dataset, count=50, max_size=4, seed=55):
             for query_type in ("subset", "equality", "superset"):
-                assert skewed_if.query(query_type, query) == skewed_oracle.query(
-                    query_type, query
-                )
+                leaf = leaf_for(query_type, query)
+                assert skewed_if.evaluate(leaf) == skewed_oracle.evaluate(leaf)
 
     def test_uncompressed_variant(self, skewed_dataset, skewed_oracle):
         index = InvertedFile(skewed_dataset, compress=False)
         for query in sample_queries(skewed_dataset, count=25, max_size=4, seed=56):
-            assert index.subset_query(query) == skewed_oracle.subset_query(query)
+            assert index.evaluate(Subset(query)) == skewed_oracle.evaluate(Subset(query))
 
     def test_unknown_items(self, skewed_if):
-        assert skewed_if.subset_query({"missing-item"}) == []
-        assert skewed_if.equality_query({"missing-item"}) == []
-        assert skewed_if.superset_query({"missing-item"}) == []
+        assert skewed_if.evaluate(Subset({"missing-item"})) == []
+        assert skewed_if.evaluate(Equality({"missing-item"})) == []
+        assert skewed_if.evaluate(Superset({"missing-item"})) == []
 
     def test_empty_query_rejected(self, skewed_if):
         with pytest.raises(QueryError):
-            skewed_if.subset_query(set())
+            skewed_if.evaluate(Subset(set()))
 
 
 class TestMergeRecords:
@@ -99,9 +98,9 @@ class TestMergeRecords:
         new_records = dataset.extend([{"a", "c"}, {"b"}])
         written = index.merge_records(new_records)
         assert written == 3
-        assert index.subset_query({"a"}) == [1, 3, 4]
-        assert index.subset_query({"b"}) == [1, 2, 5]
-        assert index.superset_query({"a", "c"}) == [3, 4]
+        assert index.evaluate(Subset({"a"})) == [1, 3, 4]
+        assert index.evaluate(Subset({"b"})) == [1, 2, 5]
+        assert index.evaluate(Superset({"a", "c"})) == [3, 4]
 
     def test_merge_requires_known_items(self):
         dataset = Dataset.from_transactions([{"a"}])
@@ -119,4 +118,5 @@ class TestMergeRecords:
         oracle = NaiveScanIndex(dataset)
         for query in ({"a"}, {"b"}, {"a", "b"}):
             for query_type in ("subset", "equality", "superset"):
-                assert index.query(query_type, query) == oracle.query(query_type, query)
+                leaf = leaf_for(query_type, query)
+                assert index.evaluate(leaf) == oracle.evaluate(leaf)

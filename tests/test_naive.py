@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines import NaiveScanIndex
 from repro.core import Dataset
+from repro.core.query.expr import Equality, Subset, Superset, leaf_for
 from repro.errors import QueryError
 
 
@@ -17,29 +18,29 @@ def tiny_index():
 
 class TestNaiveScan:
     def test_subset(self, tiny_index):
-        assert tiny_index.subset_query({"a"}) == [1, 2, 4]
-        assert tiny_index.subset_query({"a", "b"}) == [1, 4]
-        assert tiny_index.subset_query({"a", "b", "c"}) == [4]
-        assert tiny_index.subset_query({"z"}) == []
+        assert tiny_index.evaluate(Subset({"a"})) == [1, 2, 4]
+        assert tiny_index.evaluate(Subset({"a", "b"})) == [1, 4]
+        assert tiny_index.evaluate(Subset({"a", "b", "c"})) == [4]
+        assert tiny_index.evaluate(Subset({"z"})) == []
 
     def test_equality(self, tiny_index):
-        assert tiny_index.equality_query({"a", "b"}) == [1]
-        assert tiny_index.equality_query({"a"}) == [2]
-        assert tiny_index.equality_query({"c"}) == []
+        assert tiny_index.evaluate(Equality({"a", "b"})) == [1]
+        assert tiny_index.evaluate(Equality({"a"})) == [2]
+        assert tiny_index.evaluate(Equality({"c"})) == []
 
     def test_superset(self, tiny_index):
-        assert tiny_index.superset_query({"a", "b"}) == [1, 2]
-        assert tiny_index.superset_query({"a", "b", "c"}) == [1, 2, 3, 4]
-        assert tiny_index.superset_query({"c"}) == []
+        assert tiny_index.evaluate(Superset({"a", "b"})) == [1, 2]
+        assert tiny_index.evaluate(Superset({"a", "b", "c"})) == [1, 2, 3, 4]
+        assert tiny_index.evaluate(Superset({"c"})) == []
 
     def test_empty_query_rejected(self, tiny_index):
         with pytest.raises(QueryError):
-            tiny_index.subset_query(set())
+            tiny_index.evaluate(Subset(set()))
 
     def test_dispatch(self, tiny_index):
-        assert tiny_index.query("subset", {"a"}) == tiny_index.subset_query({"a"})
+        assert tiny_index.evaluate(leaf_for("subset", {"a"})) == tiny_index.evaluate(Subset({"a"}))
 
     def test_results_are_sorted(self, tiny_index):
         for query_type in ("subset", "equality", "superset"):
-            result = tiny_index.query(query_type, {"a", "b"})
+            result = tiny_index.evaluate(leaf_for(query_type, {"a", "b"}))
             assert result == sorted(result)

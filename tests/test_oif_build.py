@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import OrderedInvertedFile
+from repro.core.query.expr import Equality, Subset, Superset
 from repro.core.roi import RangeOfInterest
 from repro.errors import IndexNotBuiltError, QueryError
 from repro.storage import Environment
@@ -145,13 +146,13 @@ class TestQueryHelpers:
 
     def test_empty_query_rejected(self, paper_oif):
         with pytest.raises(QueryError):
-            paper_oif.subset_query(set())
+            paper_oif.evaluate(Subset(set()))
         with pytest.raises(QueryError):
-            paper_oif.equality_query([])
+            paper_oif.evaluate(Equality([]))
         with pytest.raises(QueryError):
-            paper_oif.superset_query(())
+            paper_oif.evaluate(Superset(()))
 
     def test_small_block_capacity_still_correct(self, paper_dataset):
         oif = OrderedInvertedFile(paper_dataset, block_capacity=2)
-        assert oif.subset_query({"a", "d"}) == [101, 104, 114]
+        assert oif.evaluate(Subset({"a", "d"})) == [101, 104, 114]
         assert oif.build_report.num_blocks > OrderedInvertedFile(paper_dataset).build_report.num_blocks

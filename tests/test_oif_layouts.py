@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import OrderedInvertedFile
 from repro.core.oif import BlockRef
+from repro.core.query.expr import leaf_for
 from repro.core.roi import RangeOfInterest
 from tests.conftest import sample_queries
 
@@ -31,9 +32,8 @@ class TestLayoutEquivalence:
     def test_same_answers_for_all_predicates(self, paged_oif, inline_oif, larger_dataset):
         for query in sample_queries(larger_dataset, count=25, max_size=4, seed=61):
             for query_type in ("subset", "equality", "superset"):
-                assert paged_oif.query(query_type, query) == inline_oif.query(
-                    query_type, query
-                ), (query_type, query)
+                leaf = leaf_for(query_type, query)
+                assert paged_oif.evaluate(leaf) == inline_oif.evaluate(leaf), (query_type, query)
 
     def test_same_block_structure(self, paged_oif, inline_oif):
         assert paged_oif.build_report.num_blocks == inline_oif.build_report.num_blocks
@@ -107,6 +107,6 @@ class TestLayoutCostDifference:
         query = next(iter(sample_queries(larger_dataset, count=1, max_size=3, seed=63)))
         for index in (paged_oif, inline_oif):
             index.drop_cache()
-            result = index.measured_query("subset", query)
+            result = index.measured_execute(leaf_for("subset", query))
             assert result.page_accesses > 0
             assert result.io_time_ms > 0

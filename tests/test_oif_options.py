@@ -7,6 +7,7 @@ import pytest
 from repro.baselines import NaiveScanIndex
 from repro.core import OrderedInvertedFile
 from repro.core.items import ItemOrder
+from repro.core.query.expr import leaf_for
 from tests.conftest import sample_queries
 
 
@@ -18,10 +19,8 @@ def oracle(skewed_dataset):
 def assert_index_matches_oracle(index, oracle, dataset, seed, count=30):
     for query in sample_queries(dataset, count=count, max_size=4, seed=seed):
         for query_type in ("subset", "equality", "superset"):
-            assert index.query(query_type, query) == oracle.query(query_type, query), (
-                query_type,
-                query,
-            )
+            leaf = leaf_for(query_type, query)
+            assert index.evaluate(leaf) == oracle.evaluate(leaf), (query_type, query)
 
 
 class TestVariants:

@@ -6,46 +6,43 @@ import itertools
 import random
 
 from repro.core import Dataset, OrderedInvertedFile
+from repro.core.query.expr import Superset
 
 
 class TestPaperExamples:
     def test_superset_a_c_returns_106_113(self, paper_oif):
         # Section 2's running example: qs = {a, c} -> {106, 113}.
-        assert paper_oif.superset_query({"a", "c"}) == [106, 113]
+        assert paper_oif.evaluate(Superset({"a", "c"})) == [106, 113]
 
     def test_superset_a_c_f_from_figure6(self, paper_oif, paper_oracle):
-        assert paper_oif.superset_query({"a", "c", "f"}) == paper_oracle.superset_query(
-            {"a", "c", "f"}
-        )
+        leaf = Superset({"a", "c", "f"})
+        assert paper_oif.evaluate(leaf) == paper_oracle.evaluate(leaf)
 
     def test_single_item_query_returns_singleton_records(self, paper_oif):
-        assert paper_oif.superset_query({"a"}) == [113]
-        assert paper_oif.superset_query({"d"}) == []
+        assert paper_oif.evaluate(Superset({"a"})) == [113]
+        assert paper_oif.evaluate(Superset({"d"})) == []
 
     def test_whole_vocabulary_returns_everything(self, paper_oif, paper_dataset):
-        assert paper_oif.superset_query(set("abcdefghij")) == sorted(paper_dataset.record_ids)
+        assert paper_oif.evaluate(Superset(set("abcdefghij"))) == sorted(paper_dataset.record_ids)
 
     def test_all_pairs_match_oracle(self, paper_oif, paper_oracle):
         for pair in itertools.combinations("abcdefghij", 2):
-            assert paper_oif.superset_query(set(pair)) == paper_oracle.superset_query(
-                set(pair)
-            ), pair
+            leaf = Superset(set(pair))
+            assert paper_oif.evaluate(leaf) == paper_oracle.evaluate(leaf), pair
 
     def test_all_triples_match_oracle(self, paper_oif, paper_oracle):
         for triple in itertools.combinations("abcdefghij", 3):
-            assert paper_oif.superset_query(set(triple)) == paper_oracle.superset_query(
-                set(triple)
-            ), triple
+            leaf = Superset(set(triple))
+            assert paper_oif.evaluate(leaf) == paper_oracle.evaluate(leaf), triple
 
     def test_unknown_items_are_ignored(self, paper_oif, paper_oracle):
         # A record can never contain an item outside the vocabulary, so adding
         # unknown items to the query cannot remove answers.
-        assert paper_oif.superset_query({"a", "c", "zzz"}) == paper_oracle.superset_query(
-            {"a", "c"}
-        )
+        expected = paper_oracle.evaluate(Superset({"a", "c"}))
+        assert paper_oif.evaluate(Superset({"a", "c", "zzz"})) == expected
 
     def test_query_of_only_unknown_items(self, paper_oif):
-        assert paper_oif.superset_query({"xx", "yy"}) == []
+        assert paper_oif.evaluate(Superset({"xx", "yy"})) == []
 
 
 class TestAgainstOracle:
@@ -57,14 +54,15 @@ class TestAgainstOracle:
             # Pad with extra items so |qs| exceeds the record length.
             while len(query) < min(len(vocabulary), record.length + 2):
                 query.add(rng.choice(vocabulary))
-            assert skewed_oif.superset_query(query) == skewed_oracle.superset_query(query)
+            assert skewed_oif.evaluate(Superset(query)) == skewed_oracle.evaluate(Superset(query))
 
     def test_random_item_combinations(self, skewed_oif, skewed_oracle, skewed_dataset):
         rng = random.Random(13)
         vocabulary = sorted(skewed_dataset.vocabulary, key=str)
         for _ in range(40):
             query = set(rng.sample(vocabulary, rng.randint(1, 6)))
-            assert skewed_oif.superset_query(query) == skewed_oracle.superset_query(query), query
+            leaf = Superset(query)
+            assert skewed_oif.evaluate(leaf) == skewed_oracle.evaluate(leaf), query
 
     def test_multiblock_lists(self, larger_dataset):
         from repro.baselines import NaiveScanIndex
@@ -75,12 +73,12 @@ class TestAgainstOracle:
         vocabulary = sorted(larger_dataset.vocabulary, key=str)
         for _ in range(25):
             query = set(rng.sample(vocabulary, rng.randint(2, 8)))
-            assert oif.superset_query(query) == oracle.superset_query(query), query
+            assert oif.evaluate(Superset(query)) == oracle.evaluate(Superset(query)), query
 
     def test_duplicate_records_counted_once_each(self):
         dataset = Dataset.from_transactions([{"x"}, {"x"}, {"x", "y"}, {"y", "z"}])
         oif = OrderedInvertedFile(dataset)
-        assert oif.superset_query({"x", "y"}) == [1, 2, 3]
+        assert oif.evaluate(Superset({"x", "y"})) == [1, 2, 3]
 
 
 class TestMetadataInteraction:
@@ -89,21 +87,20 @@ class TestMetadataInteraction:
         # {item}, which live exclusively in the metadata singleton region.
         for rank in range(min(5, skewed_oif.domain_size)):
             item = skewed_oif.order.item_at(rank)
-            assert skewed_oif.superset_query({item}) == skewed_oracle.superset_query({item})
+            assert skewed_oif.evaluate(Superset({item})) == skewed_oracle.evaluate(Superset({item}))
 
     def test_no_metadata_variant_matches(self, skewed_oif_no_metadata, skewed_oracle, skewed_dataset):
         rng = random.Random(19)
         vocabulary = sorted(skewed_dataset.vocabulary, key=str)
         for _ in range(30):
             query = set(rng.sample(vocabulary, rng.randint(1, 6)))
-            assert skewed_oif_no_metadata.superset_query(query) == skewed_oracle.superset_query(
-                query
-            ), query
+            leaf = Superset(query)
+            assert skewed_oif_no_metadata.evaluate(leaf) == skewed_oracle.evaluate(leaf), query
 
     def test_results_have_no_duplicates(self, skewed_oif, skewed_dataset):
         rng = random.Random(29)
         vocabulary = sorted(skewed_dataset.vocabulary, key=str)
         for _ in range(20):
             query = set(rng.sample(vocabulary, rng.randint(2, 8)))
-            result = skewed_oif.superset_query(query)
+            result = skewed_oif.evaluate(Superset(query))
             assert len(result) == len(set(result))

@@ -51,6 +51,7 @@ from repro.core.postings import (
     to_dense,
     unpack_ids,
 )
+from repro.core.query.expr import leaf_for
 from repro.storage.stats import ReadContext
 
 
@@ -277,6 +278,7 @@ def test_reopened_oif_preserves_repr_tags(tmp_path, backend):
     for _ in range(25):
         query = set(rng.sample(items, rng.randint(1, 3)))
         for query_type in ("subset", "equality", "superset"):
-            assert hybrid.query(query_type, query) == arrays.query(query_type, query)
+            leaf = leaf_for(query_type, query)
+            assert hybrid.evaluate(leaf) == arrays.evaluate(leaf)
     hybrid.close()
     arrays.close()

@@ -21,6 +21,7 @@ from repro.baselines import (
 )
 from repro.core import Dataset, OrderedInvertedFile
 from repro.core.ordering import order_dataset
+from repro.core.query.expr import Equality, Subset, Superset
 
 ITEMS = list("abcdefghij")
 
@@ -57,9 +58,9 @@ class TestAllIndexesMatchOracle:
         oracle = NaiveScanIndex(dataset)
         indexes = build_all_indexes(dataset)
         for query in queries:
-            expected = oracle.subset_query(query)
+            expected = oracle.evaluate(Subset(query))
             for index in indexes:
-                assert index.subset_query(query) == expected, (index.name, query)
+                assert index.evaluate(Subset(query)) == expected, (index.name, query)
 
     @relaxed
     @given(transactions_strategy, st.lists(query_strategy, min_size=1, max_size=5))
@@ -68,9 +69,9 @@ class TestAllIndexesMatchOracle:
         oracle = NaiveScanIndex(dataset)
         indexes = build_all_indexes(dataset)
         for query in queries:
-            expected = oracle.equality_query(query)
+            expected = oracle.evaluate(Equality(query))
             for index in indexes:
-                assert index.equality_query(query) == expected, (index.name, query)
+                assert index.evaluate(Equality(query)) == expected, (index.name, query)
 
     @relaxed
     @given(transactions_strategy, st.lists(query_strategy, min_size=1, max_size=5))
@@ -79,9 +80,9 @@ class TestAllIndexesMatchOracle:
         oracle = NaiveScanIndex(dataset)
         indexes = build_all_indexes(dataset)
         for query in queries:
-            expected = oracle.superset_query(query)
+            expected = oracle.evaluate(Superset(query))
             for index in indexes:
-                assert index.superset_query(query) == expected, (index.name, query)
+                assert index.evaluate(Superset(query)) == expected, (index.name, query)
 
 
 class TestStructuralInvariants:
@@ -118,9 +119,9 @@ class TestStructuralInvariants:
         dataset = Dataset.from_transactions(transactions)
         oif = OrderedInvertedFile(dataset)
         for record in dataset:
-            assert record.record_id in oif.subset_query(record.items)
-            assert record.record_id in oif.equality_query(record.items)
-            assert record.record_id in oif.superset_query(record.items)
+            assert record.record_id in oif.evaluate(Subset(record.items))
+            assert record.record_id in oif.evaluate(Equality(record.items))
+            assert record.record_id in oif.evaluate(Superset(record.items))
 
     @relaxed
     @given(transactions_strategy, query_strategy)
@@ -128,6 +129,6 @@ class TestStructuralInvariants:
         # equality answers are a subset of both subset and superset answers.
         dataset = Dataset.from_transactions(transactions)
         oif = OrderedInvertedFile(dataset)
-        equality = set(oif.equality_query(query))
-        assert equality <= set(oif.subset_query(query))
-        assert equality <= set(oif.superset_query(query))
+        equality = set(oif.evaluate(Equality(query)))
+        assert equality <= set(oif.evaluate(Subset(query)))
+        assert equality <= set(oif.evaluate(Superset(query)))

@@ -181,7 +181,7 @@ class TestStreamingLimit:
         assert len(first) == 5 and cursor.consumed == 5
         rest = cursor.fetch_all()
         assert cursor.exhausted
-        assert len(first) + len(rest) == len(skewed_oif.subset_query({common}))
+        assert len(first) + len(rest) == len(skewed_oif.evaluate(Subset({common})))
 
     def test_fetch_rejects_negative_counts(self, skewed_oif):
         common, _ = common_and_rare(skewed_oif.dataset)

@@ -9,6 +9,7 @@ import pytest
 import random
 
 from repro.core import Dataset
+from repro.core.query.expr import leaf_for
 from repro.errors import ServiceError
 from repro.service import IndexManager, QueryExecutor, ResultCache
 
@@ -44,7 +45,7 @@ def test_execute_answers_match_the_oracle(serving, paper_oracle):
     _, _, executor = serving
     for query_type in ("subset", "equality", "superset"):
         outcome = executor.execute("paper", query_type, {"a", "b"})
-        assert list(outcome.record_ids) == paper_oracle.query(query_type, {"a", "b"})
+        assert list(outcome.record_ids) == paper_oracle.evaluate(leaf_for(query_type, {"a", "b"}))
         assert outcome.query_type.value == query_type
         assert outcome.latency_ms >= 0.0
 
@@ -105,7 +106,7 @@ def test_batch_of_100_queries_matches_oracle(serving, dataset, paper_oracle):
     assert len(outcomes) == 100
     for items, outcome in zip(queries, outcomes):
         assert outcome.items == items, "results must come back in request order"
-        assert list(outcome.record_ids) == paper_oracle.query("subset", items)
+        assert list(outcome.record_ids) == paper_oracle.evaluate(leaf_for("subset", items))
     assert executor.stats.queries == 100
 
 
@@ -141,7 +142,7 @@ def test_concurrent_mixed_queries_from_many_threads(serving, dataset, paper_orac
     _, _, executor = serving
     queries = sample_queries(dataset, count=30, max_size=3, seed=7)
     expected = {
-        (query_type, items): paper_oracle.query(query_type, items)
+        (query_type, items): paper_oracle.evaluate(leaf_for(query_type, items))
         for items in queries
         for query_type in ("subset", "equality", "superset")
     }

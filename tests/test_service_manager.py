@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.core import Dataset
+from repro.core.query.expr import leaf_for
 from repro.errors import ServiceError
 from repro.service import IndexManager, ResultCache
 from repro.service.index_manager import INDEX_KINDS
@@ -55,7 +56,8 @@ def test_every_kind_answers_like_the_oracle(manager, dataset, kind, paper_oracle
     entry = manager.create(f"idx-{kind}", dataset, kind=kind)
     for query_type in ("subset", "equality", "superset"):
         query = {"a", "b"}
-        assert entry.query(query_type, query) == paper_oracle.query(query_type, query)
+        leaf = leaf_for(query_type, query)
+        assert entry.evaluate(leaf) == paper_oracle.evaluate(leaf)
 
 
 def test_describe_reports_records_and_kind(manager, dataset):
@@ -73,11 +75,11 @@ def test_insert_is_immediately_queryable_and_flush_merges(manager, dataset):
     (new_id,) = manager.insert("paper", [{"a", "b", "zz"}])
     assert new_id == max(dataset.record_ids) + 1
     assert entry.pending_updates == 1
-    assert new_id in entry.query("subset", {"zz"})
+    assert new_id in entry.evaluate(leaf_for("subset", {"zz"}))
     report = manager.flush("paper")
     assert report.records_merged == 1
     assert entry.pending_updates == 0
-    assert new_id in entry.query("subset", {"zz"})
+    assert new_id in entry.evaluate(leaf_for("subset", {"zz"}))
 
 
 def test_insert_batch_with_empty_transaction_changes_nothing(manager, dataset):
@@ -90,7 +92,7 @@ def test_insert_batch_with_empty_transaction_changes_nothing(manager, dataset):
     with pytest.raises(QueryError, match="empty transaction"):
         manager.insert("paper", [{"a", "b", "zz"}, set()])
     assert entry.pending_updates == 0
-    assert entry.query("subset", {"zz"}) == []
+    assert entry.evaluate(leaf_for("subset", {"zz"})) == []
     assert seen == []
 
 
@@ -103,7 +105,7 @@ def test_cache_wired_after_create_still_invalidates(dataset):
     from repro.service.cache import make_key
 
     key = make_key("paper", "subset", {"a", "b"})
-    cache.put(key, tuple(entry.query("subset", {"a", "b"})))
+    cache.put(key, tuple(entry.evaluate(leaf_for("subset", {"a", "b"}))))
     manager.insert("paper", [{"a", "b", "late"}])
     assert cache.get(key) is None
 
@@ -119,7 +121,7 @@ def test_insert_log_is_trimmed_by_flush_and_rebuild(manager, dataset):
     manager.rebuild("paper")
     assert entry.insert_count == 3
     assert entry._insert_log == []
-    assert entry.query("subset", {"x3"})
+    assert entry.evaluate(leaf_for("subset", {"x3"}))
 
 
 def test_insert_into_static_kind_is_rejected(manager, dataset):
@@ -136,8 +138,8 @@ def test_insert_invalidates_affected_cache_entries_only(manager, dataset):
 
     affected = make_key("paper", "subset", {"a", "b"})
     unaffected = make_key("paper", "subset", {"a", "zz"})
-    cache.put(affected, tuple(entry.query("subset", {"a", "b"})))
-    cache.put(unaffected, tuple(entry.query("subset", {"a", "zz"})))
+    cache.put(affected, tuple(entry.evaluate(leaf_for("subset", {"a", "b"}))))
+    cache.put(unaffected, tuple(entry.evaluate(leaf_for("subset", {"a", "zz"}))))
 
     manager.insert("paper", [{"a", "b", "c"}])
 
@@ -189,12 +191,12 @@ def test_describe_skips_inflight_create_reservations(manager, dataset):
 def test_rebuild_preserves_answers_and_merges_delta(manager, dataset):
     entry = manager.create("paper", dataset, kind="oif")
     manager.insert("paper", [{"a", "b", "zz"}])
-    before = entry.query("subset", {"a", "b"})
+    before = entry.evaluate(leaf_for("subset", {"a", "b"}))
     rebuilt = manager.rebuild("paper")
     assert rebuilt is entry
     assert entry.pending_updates == 0, "rebuild folds the delta into the base index"
-    assert entry.query("subset", {"a", "b"}) == before
-    assert entry.query("subset", {"zz"})
+    assert entry.evaluate(leaf_for("subset", {"a", "b"})) == before
+    assert entry.evaluate(leaf_for("subset", {"zz"}))
 
 
 def test_rebuild_keeps_update_listeners_wired(manager, dataset):
@@ -216,13 +218,13 @@ def test_rebuild_replays_inserts_that_raced_with_the_build(manager, dataset):
     fresh = ManagedIndex("paper", "oif", snapshot)
     racing_id = manager.insert("paper", [{"raced"}])[0]   # arrives mid-build
     entry.swap_handle(fresh, mark)
-    assert entry.query("subset", {"raced"}) == [racing_id]
+    assert entry.evaluate(leaf_for("subset", {"raced"})) == [racing_id]
 
 
 def test_queries_and_inserts_from_many_threads_stay_consistent(manager, dataset, paper_oracle):
     entry = manager.create("paper", dataset, kind="oif")
     expected = {
-        query_type: paper_oracle.query(query_type, {"a", "b"})
+        query_type: paper_oracle.evaluate(leaf_for(query_type, {"a", "b"}))
         for query_type in ("subset", "equality", "superset")
     }
     errors: list[BaseException] = []
@@ -230,7 +232,7 @@ def test_queries_and_inserts_from_many_threads_stay_consistent(manager, dataset,
     def reader(query_type: str) -> None:
         try:
             for _ in range(30):
-                result = entry.query(query_type, {"a", "b"})
+                result = entry.evaluate(leaf_for(query_type, {"a", "b"}))
                 # Inserts only ever append ids beyond the original range, so
                 # the original answers must always be a prefix-subset.
                 assert set(expected[query_type]) <= set(result + expected[query_type])
@@ -253,5 +255,5 @@ def test_queries_and_inserts_from_many_threads_stay_consistent(manager, dataset,
         thread.join()
     assert not errors
     # All 10 inserted records answer the final subset query.
-    final = entry.query("subset", {"a", "b"})
+    final = entry.evaluate(leaf_for("subset", {"a", "b"}))
     assert len(final) == len(expected["subset"]) + 10

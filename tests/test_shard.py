@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Dataset, OrderedInvertedFile, ShardedIndex
-from repro.core.query import And, Equality, Not, Or, Subset, Superset
+from repro.core.query import And, Equality, Not, Or, Subset, Superset, leaf_for
 from repro.core.records import Record
 from repro.core.shard import (
     FanoutPlan,
@@ -16,7 +16,7 @@ from repro.core.shard import (
     merge_cursors,
     stable_id_hash,
 )
-from repro.core.updates import ShardedDeltaBuffer, UpdatableOIF, UpdatableShardedOIF
+from repro.core.updates import UpdatableOIF, UpdatableShardedOIF
 from repro.errors import QueryError
 from repro.storage.stats import DiskModel, IOSnapshot
 
@@ -154,7 +154,8 @@ class TestShardedIndex:
         mono, sharded = sharded_pair
         items = sorted(sharded.dataset.vocabulary, key=str)[:3]
         for query_type in ("subset", "equality", "superset"):
-            assert sharded.query(query_type, items[:2]) == mono.query(query_type, items[:2])
+            leaf = leaf_for(query_type, items[:2])
+            assert sharded.evaluate(leaf) == mono.evaluate(leaf)
 
     def test_composite_expressions_match_the_monolithic_index(self, sharded_pair):
         mono, sharded = sharded_pair
@@ -305,28 +306,6 @@ class TestShardedIndex:
         assert sum(stat.page_accesses for stat in stats) > 0
 
 
-class TestShardedDeltaBuffer:
-    def test_routes_records_to_their_shard_buffer(self):
-        buffer = ShardedDeltaBuffer(RoundRobinPartitioner(3))
-        for record_id in range(6):
-            buffer.add(Record(record_id, frozenset("ab")))
-        assert len(buffer) == 6
-        assert buffer.pending_per_shard() == [2, 2, 2]
-        assert [record.record_id for record in buffer.records] == list(range(6))
-
-    def test_query_aggregates_across_buffers(self):
-        buffer = ShardedDeltaBuffer(RoundRobinPartitioner(2))
-        buffer.add(Record(1, frozenset("ab")))
-        buffer.add(Record(2, frozenset("a")))
-        assert buffer.query("subset", ["a"]) == [1, 2]
-        assert buffer.query("equality", ["a"]) == [2]
-        assert buffer.query("superset", ["a", "b"]) == [1, 2]
-        with pytest.raises(QueryError):
-            buffer.query("between", ["a"])
-        buffer.clear()
-        assert len(buffer) == 0
-
-
 class TestUpdatableShardedOIF:
     @pytest.fixture()
     def pair(self, skewed_dataset):
@@ -340,6 +319,17 @@ class TestUpdatableShardedOIF:
         assert sharded.evaluate(expr) == mono.evaluate(expr)
         assert sharded.pending_updates == 3
         assert sum(sharded.pending_per_shard()) == 3
+
+    def test_pending_per_shard_counts_the_buffer_by_partitioner(self, skewed_dataset):
+        sharded = UpdatableShardedOIF(skewed_dataset, 3, strategy="round_robin")
+        new_ids = sharded.insert([["a", "b"]] * 6)
+        assert sharded.pending_per_shard() == [2, 2, 2]
+        sharded.delete([new_ids[0]])
+        expected = [2, 2, 2]
+        expected[new_ids[0] % 3] -= 1
+        assert sharded.pending_per_shard() == expected
+        sharded.flush()
+        assert sharded.pending_per_shard() == [0, 0, 0]
 
     def test_flush_rebuilds_only_shards_with_pending_records(self, skewed_dataset):
         sharded = UpdatableShardedOIF(skewed_dataset, 4, strategy="round_robin")

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from repro.baselines import UnorderedBTreeInvertedFile
+from repro.core.query.expr import Equality, Subset, Superset, leaf_for
 from repro.errors import QueryError
 from tests.conftest import sample_queries
 
@@ -14,37 +15,35 @@ from tests.conftest import sample_queries
 class TestCorrectness:
     def test_paper_examples(self, paper_dataset):
         index = UnorderedBTreeInvertedFile(paper_dataset)
-        assert index.subset_query({"a", "d"}) == [101, 104, 114]
-        assert index.superset_query({"a", "c"}) == [106, 113]
-        assert index.equality_query({"a", "c"}) == [106]
+        assert index.evaluate(Subset({"a", "d"})) == [101, 104, 114]
+        assert index.evaluate(Superset({"a", "c"})) == [106, 113]
+        assert index.evaluate(Equality({"a", "c"})) == [106]
 
     def test_all_pairs_match_oracle(self, paper_dataset, paper_oracle):
         index = UnorderedBTreeInvertedFile(paper_dataset)
         for pair in itertools.combinations("abcdefghij", 2):
             for query_type in ("subset", "equality", "superset"):
-                assert index.query(query_type, set(pair)) == paper_oracle.query(
-                    query_type, set(pair)
-                )
+                leaf = leaf_for(query_type, set(pair))
+                assert index.evaluate(leaf) == paper_oracle.evaluate(leaf)
 
     def test_random_queries(self, skewed_ubt, skewed_oracle, skewed_dataset):
         for query in sample_queries(skewed_dataset, count=50, max_size=4, seed=71):
             for query_type in ("subset", "equality", "superset"):
-                assert skewed_ubt.query(query_type, query) == skewed_oracle.query(
-                    query_type, query
-                )
+                leaf = leaf_for(query_type, query)
+                assert skewed_ubt.evaluate(leaf) == skewed_oracle.evaluate(leaf)
 
     def test_small_blocks(self, skewed_dataset, skewed_oracle):
         index = UnorderedBTreeInvertedFile(skewed_dataset, block_capacity=4)
         for query in sample_queries(skewed_dataset, count=25, max_size=3, seed=72):
-            assert index.subset_query(query) == skewed_oracle.subset_query(query)
+            assert index.evaluate(Subset(query)) == skewed_oracle.evaluate(Subset(query))
 
     def test_unknown_items(self, skewed_ubt):
-        assert skewed_ubt.subset_query({"missing"}) == []
-        assert skewed_ubt.superset_query({"missing"}) == []
+        assert skewed_ubt.evaluate(Subset({"missing"})) == []
+        assert skewed_ubt.evaluate(Superset({"missing"})) == []
 
     def test_empty_query_rejected(self, skewed_ubt):
         with pytest.raises(QueryError):
-            skewed_ubt.equality_query(set())
+            skewed_ubt.evaluate(Equality(set()))
 
 
 class TestStructure:
@@ -87,6 +86,5 @@ class TestComparisonWithOIF:
     def test_same_answers_as_oif(self, skewed_ubt, skewed_oif, skewed_dataset):
         for query in sample_queries(skewed_dataset, count=30, max_size=4, seed=73):
             for query_type in ("subset", "equality", "superset"):
-                assert skewed_ubt.query(query_type, query) == skewed_oif.query(
-                    query_type, query
-                )
+                leaf = leaf_for(query_type, query)
+                assert skewed_ubt.evaluate(leaf) == skewed_oif.evaluate(leaf)

@@ -8,7 +8,13 @@ import pytest
 
 from repro.baselines import NaiveScanIndex
 from repro.core import Dataset
-from repro.core.updates import DeltaInvertedFile, UpdatableIF, UpdatableOIF
+from repro.core.query.expr import And, Equality, Not, Subset, Superset, leaf_for
+from repro.core.updates import (
+    DeltaInvertedFile,
+    UpdatableIF,
+    UpdatableOIF,
+    UpdatableShardedOIF,
+)
 from repro.core.records import Record
 from repro.errors import QueryError
 from tests.conftest import make_skewed_transactions
@@ -27,27 +33,13 @@ def fresh_transactions():
 
 
 class TestDeltaInvertedFile:
-    def test_queries_over_buffered_records(self):
-        delta = DeltaInvertedFile()
-        delta.add(Record(10, frozenset({"a", "b"})))
-        delta.add(Record(11, frozenset({"a"})))
-        delta.add(Record(12, frozenset({"b", "c"})))
-        assert delta.subset_query({"a"}) == [10, 11]
-        assert delta.equality_query({"a"}) == [11]
-        assert delta.superset_query({"a", "b"}) == [10, 11]
-        assert len(delta) == 3
-
     def test_clear(self):
         delta = DeltaInvertedFile()
         delta.add(Record(1, frozenset({"a"})))
         delta.clear()
         assert len(delta) == 0
-        assert delta.subset_query({"a"}) == []
-
-    def test_unknown_query_type_rejected(self):
-        delta = DeltaInvertedFile()
-        with pytest.raises(QueryError):
-            delta.query("between", {"a"})
+        assert 1 not in delta
+        assert delta.records == []
 
     def test_records_property_sorted_by_id(self):
         delta = DeltaInvertedFile()
@@ -56,32 +48,31 @@ class TestDeltaInvertedFile:
         assert [record.record_id for record in delta.records] == [3, 5]
 
 
+WRAPPERS = [UpdatableOIF, UpdatableIF, UpdatableShardedOIF]
+
+
 class TestUpdatableIndexes:
-    @pytest.mark.parametrize("wrapper_class", [UpdatableOIF, UpdatableIF])
+    @pytest.mark.parametrize("wrapper_class", WRAPPERS)
     def test_inserted_records_visible_before_flush(self, base_dataset, wrapper_class):
         wrapper = wrapper_class(base_dataset)
         new_ids = wrapper.insert([{"a", "b"}])
         assert wrapper.pending_updates == 1
-        result = wrapper.subset_query({"a", "b"})
+        result = wrapper.evaluate(Subset({"a", "b"}))
         assert new_ids[0] in result
 
-    @pytest.mark.parametrize("wrapper_class", [UpdatableOIF, UpdatableIF])
+    @pytest.mark.parametrize("wrapper_class", WRAPPERS)
     def test_flush_preserves_query_answers(self, base_dataset, fresh_transactions, wrapper_class):
         wrapper = wrapper_class(base_dataset)
         wrapper.insert(fresh_transactions)
-        answers_before = {
-            query_type: wrapper.__getattribute__(f"{query_type}_query")({"a", "b"})
-            for query_type in ("subset", "equality", "superset")
-        }
+        leaves = [leaf_for(query_type, {"a", "b"}) for query_type in ("subset", "equality", "superset")]
+        answers_before = [wrapper.evaluate(leaf) for leaf in leaves]
         report = wrapper.flush()
         assert wrapper.pending_updates == 0
         assert report.records_merged == len(fresh_transactions)
         assert report.merge_seconds > 0
-        for query_type, before in answers_before.items():
-            after = wrapper.__getattribute__(f"{query_type}_query")({"a", "b"})
-            assert after == before
+        assert [wrapper.evaluate(leaf) for leaf in leaves] == answers_before
 
-    @pytest.mark.parametrize("wrapper_class", [UpdatableOIF, UpdatableIF])
+    @pytest.mark.parametrize("wrapper_class", WRAPPERS)
     def test_flush_result_matches_oracle(self, base_dataset, fresh_transactions, wrapper_class):
         wrapper = wrapper_class(base_dataset)
         wrapper.insert(fresh_transactions)
@@ -92,9 +83,54 @@ class TestUpdatableIndexes:
         for _ in range(25):
             query = set(rng.sample(vocabulary, rng.randint(1, 4)))
             for query_type in ("subset", "equality", "superset"):
-                assert wrapper.__getattribute__(f"{query_type}_query")(query) == oracle.query(
-                    query_type, query
-                )
+                leaf = leaf_for(query_type, query)
+                assert wrapper.evaluate(leaf) == oracle.evaluate(leaf)
+
+    @pytest.mark.parametrize("wrapper_class", WRAPPERS)
+    def test_interleaved_updates_match_the_live_oracle(self, base_dataset, wrapper_class):
+        # Inserts, deletes of a pending record and of a base record, and
+        # flushes, checked against a naive scan of the live records before
+        # and after each flush.  Fresh records use only known items, which
+        # the IF's append merge requires.
+        wrapper = wrapper_class(base_dataset)
+        rng = random.Random(31)
+
+        def check() -> None:
+            live = wrapper.live_dataset()
+            oracle = NaiveScanIndex(live)
+            records = list(live)
+            for _ in range(12):
+                record = rng.choice(records)
+                probe = set(rng.sample(sorted(record.items, key=str), 1))
+                wider = record.items | {rng.choice("abcdefgh")}
+                exprs = [
+                    Subset(probe),
+                    Equality(record.items),
+                    Superset(wider),
+                    And((Subset(probe), Not(Superset(wider)))),
+                ]
+                for expr in exprs:
+                    assert wrapper.evaluate(expr) == oracle.evaluate(expr), expr
+                expected = oracle.evaluate(Subset(probe))[2:7]
+                assert wrapper.evaluate(Subset(probe).limit(5, offset=2)) == expected
+
+        for round_seed in range(3):
+            new_ids = wrapper.insert(
+                make_skewed_transactions(15, vocabulary="abcdefgh", seed=100 + round_seed)
+            )
+            wrapper.delete([new_ids[0]])
+            base_ids = [
+                record_id
+                for record_id in wrapper.dataset.record_ids
+                if record_id not in wrapper._tombstones
+            ]
+            wrapper.delete([rng.choice(base_ids)])
+            assert new_ids[0] not in wrapper.live_dataset().record_ids
+            check()
+            report = wrapper.flush()
+            assert report.records_merged == 14 + 1
+            assert wrapper.pending_updates == 0
+            check()
 
     def test_empty_insert_rejected(self, base_dataset):
         wrapper = UpdatableOIF(base_dataset)

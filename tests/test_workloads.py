@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines import NaiveScanIndex
 from repro.core.interfaces import QueryType
+from repro.core.query.expr import Equality, Subset, Superset
 from repro.errors import WorkloadError
 from repro.workloads import WorkloadGenerator, answer_counts
 
@@ -21,13 +22,13 @@ class TestSingleQueries:
             for _ in range(5):
                 query = generator.subset_query(size)
                 assert query.size == size
-                answers = skewed_oracle.subset_query(query.items)
+                answers = skewed_oracle.evaluate(Subset(query.items))
                 assert query.source_record_id in answers
 
     def test_equality_queries_match_their_source_record(self, generator, skewed_dataset, skewed_oracle):
         for size in (1, 2, 3, 4):
             query = generator.equality_query(size)
-            answers = skewed_oracle.equality_query(query.items)
+            answers = skewed_oracle.evaluate(Equality(query.items))
             assert query.source_record_id in answers
             assert skewed_dataset.get(query.source_record_id).items == query.items
 
@@ -40,7 +41,7 @@ class TestSingleQueries:
         for size in (2, 4, 6):
             query = generator.superset_query(size)
             assert query.size == size
-            answers = skewed_oracle.superset_query(query.items)
+            answers = skewed_oracle.evaluate(Superset(query.items))
             assert query.source_record_id in answers
             assert skewed_dataset.get(query.source_record_id).items <= query.items
 
