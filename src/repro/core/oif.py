@@ -234,12 +234,13 @@ class OrderedInvertedFile(SetContainmentIndex):
         pages of pruned blocks.  Set to ``True`` to store postings inline next
         to their keys (an ablation of the key/data separation).
     decoded_cache_bytes:
-        Byte budget of the decoded-block cache kept above the buffer pool
-        (see :class:`~repro.storage.block_cache.DecodedBlockCache`): repeat
-        and concurrent traversals of the same block skip the v-byte decode
-        entirely while still paying the block's simulated page access.  Pass
-        ``0`` (or ``None``) to disable.  Invalidated on every rebuild and on
-        :meth:`drop_cache`.
+        Byte budget of the decoded-page cache kept above the buffer pool
+        (see :class:`~repro.storage.block_cache.DecodedBlockCache`).  It
+        holds decoded posting blocks *and* the decoded B-tree nodes of the
+        block table, under one budget: repeat and concurrent traversals of
+        the same block or node skip the decode entirely while still paying
+        the page access.  Pass ``0`` (or ``None``) to disable both.
+        Invalidated on every rebuild and on :meth:`drop_cache`.
     posting_repr:
         ``"auto"`` (default) decodes blocks of items whose support reaches
         ``dense_ratio`` of the record count as packed bitmaps
@@ -411,7 +412,7 @@ class OrderedInvertedFile(SetContainmentIndex):
         self.env.pool.flush()
 
         self._ordered = ordered
-        self._table = table
+        self.attach_table(table)
         self._planner = None  # dataset statistics may have changed
         saved = ordered.metadata.covered_postings() if self.use_metadata else 0
         self.build_report = OIFBuildReport(
@@ -440,6 +441,16 @@ class OrderedInvertedFile(SetContainmentIndex):
             for rank in form[start:]:
                 lists.setdefault(rank, []).append(Posting(internal_id, length))
         return lists
+
+    def attach_table(self, table) -> None:
+        """Install ``table`` as the block table; its B-tree shares ``decoded_cache``.
+
+        The one place the index takes a table, whether freshly built or
+        reopened from a snapshot, so every copy decodes nodes through the
+        same cache as its blocks.
+        """
+        table.btree.node_cache = self.decoded_cache
+        self._table = table
 
     _table_counter = 0
 

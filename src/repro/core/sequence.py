@@ -55,7 +55,25 @@ def compare(left: SequenceForm, right: SequenceForm) -> int:
 
 
 def encode_tag(ranks: Sequence[int]) -> bytes:
-    """Encode a sequence form as an order-preserving, self-terminated byte string."""
+    """Encode a sequence form as an order-preserving, self-terminated byte string.
+
+    Subset seeks encode lower bounds of thousands of ranks, so the common,
+    valid case is checked with builtins and packed in one call; only an
+    invalid form walks the ranks one by one, to name the offending rank.
+    """
+    ranks = list(ranks)
+    if ranks and (
+        ranks[0] < 0
+        or ranks[-1] > MAX_RANK
+        or ranks != sorted(ranks)
+        or len(set(ranks)) != len(ranks)
+    ):
+        return _encode_tag_checked(ranks)
+    return struct.pack(f">{len(ranks)}I", *[rank + 1 for rank in ranks]) + _TERMINATOR
+
+
+def _encode_tag_checked(ranks: Sequence[int]) -> bytes:
+    """Rank-by-rank :func:`encode_tag`, raising on the first invalid rank."""
     out = bytearray()
     previous = -1
     for rank in ranks:

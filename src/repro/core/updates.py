@@ -71,6 +71,10 @@ class DeltaInvertedFile:
         """The buffered records, in ascending id order."""
         return [Record(record_id, items) for record_id, items in sorted(self._records.items())]
 
+    def items(self):
+        """Live ``(record_id, items)`` view of the buffer, in insertion order."""
+        return self._records.items()
+
     def clear(self) -> None:
         """Drop the buffer (after a successful merge)."""
         self._records.clear()
@@ -269,12 +273,12 @@ class _UpdatableBase:
         if self._tombstones:
             base = [rid for rid in base if rid not in self._tombstones]
         if len(self.delta):
-            fresh = [
-                record.record_id
-                for record in self.delta.records
-                if normalized.matches(record.items)
-            ]
-            base = sorted(set(base) | set(fresh))
+            matches = normalized.matches
+            fresh = sorted(rid for rid, items in self.delta.items() if matches(items))
+            if fresh:
+                # A record is either buffered or flushed, never both, so the
+                # two sorted runs are disjoint; timsort merges them in one pass.
+                base = sorted(base + fresh)
         return slice_ids(base, count, offset)
 
 

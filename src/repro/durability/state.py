@@ -146,7 +146,7 @@ def load_oif(env: Environment, state: dict) -> OrderedInvertedFile:
     )
     index = OrderedInvertedFile(dataset, env=env, build=False, **state["options"])
     index._ordered = ordered
-    index._table = env.table(state["table"])
+    index.attach_table(env.table(state["table"]))
     index.build_report = OIFBuildReport(**state["build_report"])
     reprs = state.get("posting_reprs")
     if reprs is not None:

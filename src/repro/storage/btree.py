@@ -23,22 +23,31 @@ Design points
   splits (used by updates).
 * A one-page header stores the root pointer so a tree stored in a
   :class:`~repro.storage.pager.FilePageFile` can be reopened.
-
-The implementation favours clarity over raw speed: node payloads are decoded
-into small Python objects on access.  All performance *measurements* in the
-experiments are page-access counts and simulated I/O times, which do not
-depend on the decoding speed.
+* Decoded nodes can be kept in a
+  :class:`~repro.storage.block_cache.DecodedBlockCache` (``node_cache``),
+  keyed by page id.  Cold queries re-descend the same few pages many times
+  (a paper-cold superset query visits about 144 nodes over 10 pages), and
+  decoding a node costs far more CPU than charging its page access.  A cache
+  hit still goes through :meth:`BufferPool.get_page`, so the deadline check,
+  the page charge and the random/sequential classification are exactly those
+  of an uncached read.  Cached nodes are shared and never mutated: the write
+  paths decode a private copy, and :meth:`BTree._write_node` discards the
+  page's cached node.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.errors import BTreeError, DuplicateKeyError, KeyNotFoundError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.stats import ReadContext
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.block_cache import DecodedBlockCache
 
 _LEAF = 0
 _INTERNAL = 1
@@ -47,12 +56,14 @@ _NO_PAGE = 0xFFFFFFFF
 _NODE_HEADER = struct.Struct("<BHI")  # node type, entry count, next leaf / first child
 _META_HEADER = struct.Struct("<III")  # magic, root page id, height
 _META_MAGIC = 0x0B1F0B1F
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 _LEAF_ENTRY_OVERHEAD = 4  # two uint16 length prefixes
 _INTERNAL_ENTRY_OVERHEAD = 6  # uint16 key length + uint32 child pointer
 
 
-@dataclass
+@dataclass(slots=True)
 class _LeafNode:
     """In-memory image of a leaf page."""
 
@@ -64,8 +75,20 @@ class _LeafNode:
         payload = sum(len(k) + len(v) for k, v in zip(self.keys, self.values))
         return _NODE_HEADER.size + payload + _LEAF_ENTRY_OVERHEAD * len(self.keys)
 
+    @property
+    def nbytes(self) -> int:
+        """Decoded footprint, container overhead included (the cache's unit)."""
+        getsizeof = sys.getsizeof
+        return (
+            getsizeof(self)
+            + getsizeof(self.keys)
+            + getsizeof(self.values)
+            + sum(map(getsizeof, self.keys))
+            + sum(map(getsizeof, self.values))
+        )
 
-@dataclass
+
+@dataclass(slots=True)
 class _InternalNode:
     """In-memory image of an internal page.
 
@@ -86,13 +109,25 @@ class _InternalNode:
             + 4
         )
 
+    @property
+    def nbytes(self) -> int:
+        """Decoded footprint, container overhead included (the cache's unit)."""
+        getsizeof = sys.getsizeof
+        return (
+            getsizeof(self)
+            + getsizeof(self.keys)
+            + getsizeof(self.children)
+            + sum(map(getsizeof, self.keys))
+            + sum(map(getsizeof, self.children))
+        )
+
 
 def _serialize_leaf(node: _LeafNode) -> bytes:
     out = bytearray(_NODE_HEADER.pack(_LEAF, len(node.keys), node.next_leaf))
     for key, value in zip(node.keys, node.values):
-        out += struct.pack("<H", len(key))
+        out += _U16.pack(len(key))
         out += key
-        out += struct.pack("<H", len(value))
+        out += _U16.pack(len(value))
         out += value
     return bytes(out)
 
@@ -104,41 +139,42 @@ def _serialize_internal(node: _InternalNode) -> bytes:
         )
     out = bytearray(_NODE_HEADER.pack(_INTERNAL, len(node.keys), node.children[0]))
     for key, child in zip(node.keys, node.children[1:]):
-        out += struct.pack("<H", len(key))
+        out += _U16.pack(len(key))
         out += key
-        out += struct.pack("<I", child)
+        out += _U32.pack(child)
     return bytes(out)
 
 
+_unpack_header = _NODE_HEADER.unpack_from
+_unpack_u16 = _U16.unpack_from
+_unpack_u32 = _U32.unpack_from
+
+
 def _deserialize(data: bytes) -> _LeafNode | _InternalNode:
-    node_type, count, link = _NODE_HEADER.unpack_from(data, 0)
+    """Decode one node page; ``data`` must be ``bytes`` so slices are too."""
+    u16 = _unpack_u16
+    node_type, count, link = _unpack_header(data, 0)
     offset = _NODE_HEADER.size
+    keys: list[bytes] = []
+    add_key = keys.append
     if node_type == _LEAF:
-        leaf = _LeafNode(next_leaf=link)
+        values: list[bytes] = []
+        add_value = values.append
         for _ in range(count):
-            (key_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            key = bytes(data[offset : offset + key_len])
-            offset += key_len
-            (val_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            value = bytes(data[offset : offset + val_len])
-            offset += val_len
-            leaf.keys.append(key)
-            leaf.values.append(value)
-        return leaf
+            key_end = offset + 2 + u16(data, offset)[0]
+            add_key(data[offset + 2 : key_end])
+            offset = key_end + 2 + u16(data, key_end)[0]
+            add_value(data[key_end + 2 : offset])
+        return _LeafNode(keys, values, link)
     if node_type == _INTERNAL:
-        internal = _InternalNode(children=[link])
+        children = [link]
+        add_child = children.append
         for _ in range(count):
-            (key_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            key = bytes(data[offset : offset + key_len])
-            offset += key_len
-            (child,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            internal.keys.append(key)
-            internal.children.append(child)
-        return internal
+            key_end = offset + 2 + u16(data, offset)[0]
+            add_key(data[offset + 2 : key_end])
+            add_child(_unpack_u32(data, key_end)[0])
+            offset = key_end + 4
+        return _InternalNode(keys, children)
     raise BTreeError(f"corrupt node page: unknown node type {node_type}")
 
 
@@ -165,10 +201,15 @@ def _bisect_left(keys: Sequence[bytes], key: bytes) -> int:
 
 
 class BTree:
-    """A disk-based B+-tree mapping unique byte-string keys to byte values."""
+    """A disk-based B+-tree mapping unique byte-string keys to byte values.
+
+    ``node_cache`` (``None`` by default) is the decoded-page cache reads
+    consult before decoding a node; the owning index installs its own.
+    """
 
     def __init__(self, pool: BufferPool, meta_page_id: int | None = None) -> None:
         self.pool = pool
+        self.node_cache: "DecodedBlockCache | None" = None
         self.page_size = pool.page_file.page_size
         if self.page_size < 128:
             raise BTreeError(f"page size {self.page_size} is too small for a B+-tree")
@@ -237,13 +278,13 @@ class BTree:
         path: list[tuple[int, int]] = []
         page_id = self.root_page_id
         for _ in range(self.height - 1):
-            node = self._read_node(page_id)
+            node = self._read_node_copy(page_id)
             if not isinstance(node, _InternalNode):
                 raise BTreeError("tree height is inconsistent with node types")
             slot = _bisect_right(node.keys, key)
             path.append((page_id, slot))
             page_id = node.children[slot]
-        leaf = self._read_node(page_id)
+        leaf = self._read_node_copy(page_id)
         if not isinstance(leaf, _LeafNode):
             raise BTreeError("expected a leaf at the bottom of the tree")
         index = _bisect_left(leaf.keys, key)
@@ -444,7 +485,7 @@ class BTree:
     def _insert_recursive(
         self, page_id: int, height: int, key: bytes, value: bytes, replace: bool
     ) -> tuple[bytes, int] | None:
-        node = self._read_node(page_id)
+        node = self._read_node_copy(page_id)
         if height == 1:
             if not isinstance(node, _LeafNode):
                 raise BTreeError("expected a leaf at height 1")
@@ -524,7 +565,24 @@ class BTree:
     def _read_node(
         self, page_id: int, ctx: "ReadContext | None" = None
     ) -> _LeafNode | _InternalNode:
-        return _deserialize(bytes(self.pool.get_page(page_id, ctx)))
+        """The decoded node of ``page_id``, shared with the cache: read only.
+
+        The page access is charged first, hit or miss, so a cached node
+        costs exactly the simulated I/O of a decoded one.
+        """
+        page = self.pool.get_page(page_id, ctx)
+        cache = self.node_cache
+        if cache is None:
+            return _deserialize(bytes(page))
+        node = cache.get_node(page_id)
+        if node is None:
+            node = _deserialize(bytes(page))
+            cache.put(page_id, node)
+        return node
+
+    def _read_node_copy(self, page_id: int) -> _LeafNode | _InternalNode:
+        """A freshly decoded node the caller may modify (the write paths)."""
+        return _deserialize(bytes(self.pool.get_page(page_id)))
 
     def _write_node(self, page_id: int, node: _LeafNode | _InternalNode) -> None:
         data = _serialize_leaf(node) if isinstance(node, _LeafNode) else _serialize_internal(node)
@@ -533,6 +591,8 @@ class BTree:
                 f"serialized node of {len(data)} bytes exceeds page size {self.page_size}"
             )
         self.pool.put_page(page_id, data)
+        if self.node_cache is not None:
+            self.node_cache.discard(page_id)
 
     def _write_meta(self) -> None:
         self.pool.put_page(

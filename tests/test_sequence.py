@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import re
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.items import ItemOrder, Vocabulary
 from repro.core.sequence import (
+    MAX_RANK,
     compare,
     decode_rank,
     decode_tag,
@@ -87,6 +91,45 @@ class TestTagEncoding:
         )
         tuple_comparison = (left > right) - (left < right)
         assert byte_comparison == tuple_comparison
+
+
+def _reference_encode_tag(ranks) -> bytes:
+    """The rank-by-rank encoding: ``rank + 1`` big-endian, then a zero word."""
+    return b"".join(struct.pack(">I", rank + 1) for rank in ranks) + bytes(4)
+
+
+class TestTagEncodingMatchesReference:
+    @given(st.lists(st.integers(min_value=0, max_value=MAX_RANK), unique=True, max_size=60))
+    def test_random_increasing_tuples(self, ranks):
+        ranks = tuple(sorted(ranks))
+        assert encode_tag(ranks) == _reference_encode_tag(ranks)
+        assert encode_tag(list(ranks)) == _reference_encode_tag(ranks)
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 257, 4000])
+    def test_range_prefixes(self, length):
+        # Subset seeks encode lower bounds of the form tuple(range(n)).
+        ranks = tuple(range(length))
+        assert encode_tag(ranks) == _reference_encode_tag(ranks)
+        assert encode_tag(range(length)) == _reference_encode_tag(ranks)
+
+    def test_empty_and_extreme_ranks(self):
+        assert encode_tag(()) == bytes(4)
+        assert encode_tag((0, MAX_RANK)) == _reference_encode_tag((0, MAX_RANK))
+
+    @pytest.mark.parametrize(
+        "ranks, message",
+        [
+            ((-1,), "rank -1 cannot be encoded in a 4-byte tag element"),
+            ((3, -1), "rank -1 cannot be encoded in a 4-byte tag element"),
+            ((4, MAX_RANK + 1), f"rank {MAX_RANK + 1} cannot be encoded in a 4-byte tag element"),
+            ((2, 5, 5), "tag ranks must be strictly increasing, got 5 then 5"),
+            ((2, 7, 4, 9), "tag ranks must be strictly increasing, got 7 then 4"),
+            ((9, 4, -2), "tag ranks must be strictly increasing, got 9 then 4"),
+        ],
+    )
+    def test_invalid_ranks_raise_the_first_violation(self, ranks, message):
+        with pytest.raises(IndexBuildError, match=f"^{re.escape(message)}$"):
+            encode_tag(ranks)
 
 
 class TestRankEncoding:
