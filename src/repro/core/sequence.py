@@ -35,6 +35,9 @@ _RANK_SIZE = _RANK.size
 _TERMINATOR = b"\x00\x00\x00\x00"
 #: Upper bound on ranks imposed by the fixed-width encoding (4 bytes minus the +1 shift).
 MAX_RANK = 0xFFFFFFFE
+#: Tag length from which :func:`encode_tag` packs in one call; below it the
+#: rank-by-rank loop is faster (the two cross at 11-13 ranks on CPython 3.11).
+_ONE_CALL_MIN_RANKS = 12
 
 
 def sequence_form(items: Iterable[Item], order: ItemOrder) -> SequenceForm:
@@ -57,12 +60,16 @@ def compare(left: SequenceForm, right: SequenceForm) -> int:
 def encode_tag(ranks: Sequence[int]) -> bytes:
     """Encode a sequence form as an order-preserving, self-terminated byte string.
 
-    Subset seeks encode lower bounds of thousands of ranks, so the common,
-    valid case is checked with builtins and packed in one call; only an
-    invalid form walks the ranks one by one, to name the offending rank.
+    Block keys and equality/superset seeks encode short tags, which the
+    rank-by-rank loop encodes fastest.  Subset seeks encode lower bounds of
+    thousands of ranks; from :data:`_ONE_CALL_MIN_RANKS` ranks on, a tag is
+    checked with builtins and packed in one call, and only an invalid one
+    walks the ranks one by one, to name the offending rank.
     """
+    if len(ranks) < _ONE_CALL_MIN_RANKS:
+        return _encode_tag_checked(ranks)
     ranks = list(ranks)
-    if ranks and (
+    if (
         ranks[0] < 0
         or ranks[-1] > MAX_RANK
         or ranks != sorted(ranks)

@@ -105,7 +105,7 @@ class TestTagEncodingMatchesReference:
         assert encode_tag(ranks) == _reference_encode_tag(ranks)
         assert encode_tag(list(ranks)) == _reference_encode_tag(ranks)
 
-    @pytest.mark.parametrize("length", [0, 1, 2, 257, 4000])
+    @pytest.mark.parametrize("length", [0, 1, 2, 11, 12, 13, 257, 4000])
     def test_range_prefixes(self, length):
         # Subset seeks encode lower bounds of the form tuple(range(n)).
         ranks = tuple(range(length))
@@ -125,6 +125,20 @@ class TestTagEncodingMatchesReference:
             ((2, 5, 5), "tag ranks must be strictly increasing, got 5 then 5"),
             ((2, 7, 4, 9), "tag ranks must be strictly increasing, got 7 then 4"),
             ((9, 4, -2), "tag ranks must be strictly increasing, got 9 then 4"),
+            # Long enough for the one-call path, which must name the same rank.
+            ((-1, *range(1, 40)), "rank -1 cannot be encoded in a 4-byte tag element"),
+            (
+                (*range(40), MAX_RANK + 1),
+                f"rank {MAX_RANK + 1} cannot be encoded in a 4-byte tag element",
+            ),
+            (
+                (*range(20), 19, *range(20, 40)),
+                "tag ranks must be strictly increasing, got 19 then 19",
+            ),
+            (
+                (*range(20), 7, *range(50, 70)),
+                "tag ranks must be strictly increasing, got 19 then 7",
+            ),
         ],
     )
     def test_invalid_ranks_raise_the_first_violation(self, ranks, message):
