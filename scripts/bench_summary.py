@@ -2,21 +2,32 @@
 """Summarize paired oifbench runs into a committed ``BENCH_<workload>.json``.
 
 Each input file is the full standard output of one
-``python3 oifbench/run.py --workload W --seed N ...`` run: the ``# host``
-record and, on the last line, the JSON result.  Runs come in pairs, one at
-the parent commit and one at the change, on the same seed::
+``python3 oifbench/run.py --workload W --seed N ...`` run, the ``# host``
+record and, on the last line, the JSON result, preceded by a
+``# command <JSON list>`` line naming the exact command that produced it::
+
+    cmd=(python3 oifbench/run.py --workload paper-cold --seed 101 --seconds 26 --trace 0)
+    { printf '# command %s\\n' "$(python3 -c 'import json, sys; print(json.dumps(sys.argv[1:]))' \\
+        "${cmd[@]}")"; "${cmd[@]}"; } > runs/parent_101.txt
+
+Runs come in pairs, one at the parent commit and one at the change, on the
+same seed, each run from a git checkout so that its host record names the
+commit::
 
     python3 scripts/bench_summary.py --workload paper-cold \\
         --pair 101 runs/parent_101.txt runs/change_101.txt \\
         --pair 102 runs/parent_102.txt runs/change_102.txt \\
         --out BENCH_paper-cold.json
 
-The output keeps every raw result and host record, the median and
-interquartile range of every metric on each side, and, for the end-to-end
-metrics of ``BENCHMARK.json``, the change in median against the metric's
-bound, the pairs the change won, and whether the median moved by more than
-the parent's IQR.  The exit status is 1 when an end-to-end metric is worse
-than its bound or the change fails a larger share of operations.
+The output keeps every run's command, host record and raw result, the two
+commits compared, the median and interquartile range of every metric on each
+side, and, for the end-to-end metrics of ``BENCHMARK.json``, the change in
+median against the metric's bound, the pairs the change won, and whether the
+median moved by more than the parent's IQR.  The exit status is 1 when an
+end-to-end metric is worse than its bound or the change fails a larger share
+of operations, and 2 when the runs cannot be attributed: a missing command
+line, a seed that differs from its pair's, an unknown revision, or sides that
+do not each come from one commit.
 
 Standard library only, so it runs wherever the benchmark does.
 """
@@ -32,18 +43,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def parse_run(text: str) -> tuple[dict, dict]:
-    """``(host record, result)`` of one run's standard output."""
+def parse_run(text: str) -> tuple[str, dict, dict]:
+    """``(command, host record, result)`` of one run's standard output."""
+    command = None
     host: dict = {}
     result = None
     for line in text.splitlines():
-        if line.startswith("# host "):
+        if line.startswith("# command "):
+            command = json.loads(line[len("# command ") :])
+        elif line.startswith("# host "):
             host = json.loads(line[len("# host ") :])
         elif line.startswith("{"):
             result = json.loads(line)
     if result is None:
         raise ValueError("no JSON result line in run output")
-    return host, result
+    if command is None:
+        raise ValueError("no '# command' line in run output")
+    return command, host, result
+
+
+def side_revision(side: str, runs: list[dict]) -> str:
+    """The one known commit all of ``side``'s runs were made at."""
+    revisions = {run["host"].get("git_rev", "unknown") for run in runs if run["side"] == side}
+    if "unknown" in revisions:
+        raise ValueError(f"a {side} run does not name its commit (git_rev unknown)")
+    if len(revisions) != 1:
+        raise ValueError(f"{side} runs come from several commits: {sorted(revisions)}")
+    return revisions.pop()
 
 
 def spread(values: list[float]) -> dict:
@@ -63,8 +89,15 @@ def summarize(workload: str, pairs: list[tuple[int, dict, dict]], benchmark: dic
     """The BENCH record for ``pairs`` of ``(seed, parent run, change run)``."""
     runs = []
     for seed, parent, change in pairs:
-        for side, (host, result) in (("parent", parent), ("change", change)):
-            runs.append({"side": side, "seed": seed, "host": host, "result": result})
+        for side, (command, host, result) in (("parent", parent), ("change", change)):
+            if "--seed" not in command or command[command.index("--seed") + 1] != str(seed):
+                raise ValueError(f"{side} run of pair {seed} was not run with --seed {seed}")
+            runs.append(
+                {"side": side, "seed": seed, "command": command, "host": host, "result": result}
+            )
+    revisions = {side: side_revision(side, runs) for side in ("parent", "change")}
+    if revisions["parent"] == revisions["change"]:
+        raise ValueError(f"parent and change runs are both at {revisions['parent']}")
 
     summary: dict = {}
     for side in ("parent", "change"):
@@ -92,9 +125,9 @@ def summarize(workload: str, pairs: list[tuple[int, dict, dict]], benchmark: dic
         share = delta / base["median"] if base["median"] else 0.0
         worse_share = -share if higher else share
         wins = sum(
-            (c[1]["metrics"][name]["value"] > p[1]["metrics"][name]["value"])
+            (c[2]["metrics"][name]["value"] > p[2]["metrics"][name]["value"])
             if higher
-            else (c[1]["metrics"][name]["value"] < p[1]["metrics"][name]["value"])
+            else (c[2]["metrics"][name]["value"] < p[2]["metrics"][name]["value"])
             for _, p, c in pairs
         )
         regressed = worse_share > spec["bound"]
@@ -118,7 +151,7 @@ def summarize(workload: str, pairs: list[tuple[int, dict, dict]], benchmark: dic
         regressions.append("failed_share")
     return {
         "workload": workload,
-        "command": benchmark["command"] + ["--workload", workload],
+        "revisions": revisions,
         "runs": runs,
         "summary": summary,
         "comparison": comparison,
@@ -141,11 +174,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads(args.benchmark.read_text())
-    pairs = [
-        (int(seed), parse_run(Path(parent).read_text()), parse_run(Path(change).read_text()))
-        for seed, parent, change in args.pair
-    ]
-    record = summarize(args.workload, pairs, benchmark)
+    try:
+        pairs = [
+            (int(seed), parse_run(Path(parent).read_text()), parse_run(Path(change).read_text()))
+            for seed, parent, change in args.pair
+        ]
+        record = summarize(args.workload, pairs, benchmark)
+    except ValueError as error:
+        parser.error(str(error))
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for name, row in record["comparison"].items():
         print(

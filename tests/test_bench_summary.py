@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -18,7 +20,9 @@ def _load_script():
     return module
 
 
-def _run_output(qps: float, p50: float, failed: int = 0) -> str:
+def _run_output(
+    qps: float, p50: float, failed: int = 0, seed: int = 7, git_rev: str = "parent-rev"
+) -> str:
     result = {
         "attempted": 100,
         "correct": failed == 0,
@@ -29,8 +33,23 @@ def _run_output(qps: float, p50: float, failed: int = 0) -> str:
             "storage.btree_self_ms": {"unit": "ms", "value": 1.0},
         },
     }
-    host = {"nproc": 2, "python": "3.11.7"}
-    return f"# host {json.dumps(host)}\n# notes {{}}\n{json.dumps(result)}\n"
+    command = ["python3", "oifbench/run.py", "--workload", "w", "--seed", str(seed)]
+    host = {"git_rev": git_rev, "nproc": 2, "python": "3.11.7"}
+    return (
+        f"# command {json.dumps(command)}\n# host {json.dumps(host)}\n# notes {{}}\n"
+        f"{json.dumps(result)}\n"
+    )
+
+
+def _summarize(script, tmp_path, parent_text: str, change_text: str, seed: int = 7) -> int:
+    parent = tmp_path / "parent.txt"
+    change = tmp_path / "change.txt"
+    parent.write_text(parent_text)
+    change.write_text(change_text)
+    out = tmp_path / "bench.json"
+    return script.main(
+        ["--workload", "w", "--pair", str(seed), str(parent), str(change), "--out", str(out)]
+    )
 
 
 def test_two_fake_runs_are_summarized_against_the_bounds(tmp_path):
@@ -38,7 +57,7 @@ def test_two_fake_runs_are_summarized_against_the_bounds(tmp_path):
     parent = tmp_path / "parent.txt"
     change = tmp_path / "change.txt"
     parent.write_text(_run_output(qps=100.0, p50=4.0))
-    change.write_text(_run_output(qps=190.0, p50=6.0))
+    change.write_text(_run_output(qps=190.0, p50=6.0, git_rev="change-rev"))
     out = tmp_path / "BENCH_paper-cold.json"
 
     status = script.main(
@@ -50,7 +69,9 @@ def test_two_fake_runs_are_summarized_against_the_bounds(tmp_path):
         ("parent", 7),
         ("change", 7),
     ]
-    assert record["runs"][0]["host"] == {"nproc": 2, "python": "3.11.7"}
+    assert record["runs"][0]["host"] == {"git_rev": "parent-rev", "nproc": 2, "python": "3.11.7"}
+    assert record["runs"][1]["command"][-2:] == ["--seed", "7"]
+    assert record["revisions"] == {"parent": "parent-rev", "change": "change-rev"}
     assert record["runs"][1]["result"]["metrics"]["query_p50_ms"]["value"] == 6.0
     assert record["summary"]["parent"]["query_throughput_qps"] == {
         "unit": "1/s",
@@ -72,14 +93,31 @@ def test_two_fake_runs_are_summarized_against_the_bounds(tmp_path):
 
 
 def test_more_failed_operations_is_a_regression(tmp_path):
-    script = _load_script()
-    parent = tmp_path / "parent.txt"
-    change = tmp_path / "change.txt"
-    parent.write_text(_run_output(qps=100.0, p50=4.0))
-    change.write_text(_run_output(qps=100.0, p50=4.0, failed=3))
-    out = tmp_path / "bench.json"
-    status = script.main(
-        ["--workload", "w", "--pair", "1", str(parent), str(change), "--out", str(out)]
+    status = _summarize(
+        _load_script(),
+        tmp_path,
+        _run_output(qps=100.0, p50=4.0),
+        _run_output(qps=100.0, p50=4.0, failed=3, git_rev="change-rev"),
     )
     assert status == 1
-    assert json.loads(out.read_text())["regressions"] == ["failed_share"]
+    assert json.loads((tmp_path / "bench.json").read_text())["regressions"] == ["failed_share"]
+
+
+@pytest.mark.parametrize(
+    "parent_text, change_text",
+    [
+        # A run that does not name its commit.
+        (_run_output(100.0, 4.0, git_rev="unknown"), _run_output(100.0, 4.0, git_rev="c")),
+        # Both sides at one commit: nothing was compared.
+        (_run_output(100.0, 4.0), _run_output(100.0, 4.0)),
+        # The change run used another seed than its pair.
+        (_run_output(100.0, 4.0), _run_output(100.0, 4.0, seed=8, git_rev="c")),
+        # No command line recorded.
+        (_run_output(100.0, 4.0).split("\n", 1)[1], _run_output(100.0, 4.0, git_rev="c")),
+    ],
+)
+def test_runs_that_cannot_be_attributed_are_refused(tmp_path, parent_text, change_text):
+    with pytest.raises(SystemExit) as exit_info:
+        _summarize(_load_script(), tmp_path, parent_text, change_text)
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "bench.json").exists()
