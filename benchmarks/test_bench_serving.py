@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+from repro.core.query import Subset
 from repro.datasets.synthetic import SyntheticConfig
 from repro.errors import ServiceError, ServiceOverloadedError
 from repro.experiments import cache as build_cache
@@ -30,6 +31,7 @@ from repro.experiments.report import ResultTable
 from repro.service import (
     IndexManager,
     QueryExecutor,
+    QueryRequest,
     ResultCache,
     ServiceClient,
     ServiceServer,
@@ -50,7 +52,7 @@ def dataset():
 
 
 @pytest.fixture(scope="module")
-def query_stream(dataset) -> list[tuple[str, str, frozenset]]:
+def query_stream(dataset) -> list[QueryRequest]:
     """A zipf-skewed stream of subset queries spread over two indexes."""
     rng = random.Random(99)
     records = list(dataset)
@@ -61,7 +63,7 @@ def query_stream(dataset) -> list[tuple[str, str, frozenset]]:
             pool.append(frozenset(rng.sample(sorted(record.items, key=str), 2)))
     weights = [(rank + 1) ** -1.2 for rank in range(HOT_POOL)]
     return [
-        (f"shard{n % 2}", "subset", rng.choices(pool, weights=weights, k=1)[0])
+        QueryRequest.of(f"shard{n % 2}", Subset(rng.choices(pool, weights=weights, k=1)[0]))
         for n in range(NUM_QUERIES)
     ]
 

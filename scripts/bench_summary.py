@@ -20,14 +20,16 @@ commit::
         --out BENCH_paper-cold.json
 
 The output keeps every run's command, host record and raw result, the two
-commits compared, the median and interquartile range of every metric on each
-side, and, for the end-to-end metrics of ``BENCHMARK.json``, the change in
-median against the metric's bound, the pairs the change won, and whether the
-median moved by more than the parent's IQR.  The exit status is 1 when an
-end-to-end metric is worse than its bound or the change fails a larger share
-of operations, and 2 when the runs cannot be attributed: a missing command
-line, a seed that differs from its pair's, an unknown revision, or sides that
-do not each come from one commit.
+commits compared and the ``src/**/*.py`` line count of each (read with
+``git show <rev>:<path>`` from ``--repo``, this checkout by default), the
+median and interquartile range of every metric on each side, and, for the
+end-to-end metrics of ``BENCHMARK.json``, the change in median against the
+metric's bound, the pairs the change won, and whether the median moved by
+more than the parent's IQR.  The exit status is 1 when an end-to-end metric
+is worse than its bound or the change fails a larger share of operations,
+and 2 when the runs cannot be attributed: a missing command line, a seed
+that differs from its pair's, an unknown or unreadable revision, or sides
+that do not each come from one commit.
 
 Standard library only, so it runs wherever the benchmark does.
 """
@@ -37,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,6 +73,25 @@ def side_revision(side: str, runs: list[dict]) -> str:
     if len(revisions) != 1:
         raise ValueError(f"{side} runs come from several commits: {sorted(revisions)}")
     return revisions.pop()
+
+
+def _git(repo: Path, *args: str) -> str:
+    done = subprocess.run(
+        ["git", "-C", str(repo), *args], capture_output=True, text=True, check=False
+    )
+    if done.returncode != 0:
+        raise ValueError(f"git {' '.join(args)} failed: {done.stderr.strip()}")
+    return done.stdout
+
+
+def source_lines(repo: Path, revision: str) -> int:
+    """Lines of ``src/**/*.py`` at ``revision`` (what ``wc -l`` counts)."""
+    paths = _git(repo, "ls-tree", "-r", "--name-only", revision, "--", "src").splitlines()
+    return sum(
+        _git(repo, "show", f"{revision}:{path}").count("\n")
+        for path in paths
+        if path.endswith(".py")
+    )
 
 
 def spread(values: list[float]) -> dict:
@@ -170,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar=("SEED", "PARENT_OUTPUT", "CHANGE_OUTPUT"),
     )
     parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
+    parser.add_argument("--repo", type=Path, default=ROOT, help="git repository of the revisions")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -180,9 +203,15 @@ def main(argv: list[str] | None = None) -> int:
             for seed, parent, change in args.pair
         ]
         record = summarize(args.workload, pairs, benchmark)
+        record["source_lines"] = {
+            side: source_lines(args.repo, revision)
+            for side, revision in record["revisions"].items()
+        }
     except ValueError as error:
         parser.error(str(error))
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    lines = record["source_lines"]
+    print(f"{'src lines':24s} {lines['parent']:12d} -> {lines['change']:12d}")
     for name, row in record["comparison"].items():
         print(
             f"{name:24s} {row['parent_median']:12.4f} -> {row['change_median']:12.4f}"

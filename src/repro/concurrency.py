@@ -137,9 +137,3 @@ class ReadWriteLock:
         """Number of distinct threads currently holding the read side."""
         with self._cond:
             return len(self._readers)
-
-    @property
-    def write_held(self) -> bool:
-        """Whether some thread currently holds the write side."""
-        with self._cond:
-            return self._writer is not None

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.compression import vbyte
 from repro.compression.postings import Posting, PostingBlockCodec
@@ -215,19 +215,3 @@ def decode_block_entry(
     """Inverse of :func:`encode_block` for entries read back from the B-tree."""
     return BlockKey.decode(key), codec.decode_columns(value).postings()
 
-
-def iter_list_blocks(
-    cursor: Iterator[tuple[bytes, bytes]],
-    item_rank: int,
-    codec: PostingBlockCodec,
-) -> Iterator[tuple[BlockKey, list[Posting]]]:
-    """Yield decoded blocks from ``cursor`` while they still belong to ``item_rank``.
-
-    Blocks are batch-decoded (:meth:`PostingBlockCodec.decode_columns`); the
-    materialized ``list[Posting]`` form is kept for the callers' benefit.
-    """
-    for key, value in cursor:
-        block_key = BlockKey.decode(key)
-        if block_key.item_rank != item_rank:
-            return
-        yield block_key, codec.decode_columns(value).postings()

@@ -482,10 +482,6 @@ class OrderedInvertedFile(SetContainmentIndex):
         """Number of distinct items in the indexed vocabulary."""
         return len(self.ordered.order)
 
-    def decode_postings(self, raw_value: bytes) -> list[Posting]:
-        """Decode one block value into its postings."""
-        return self._codec.decode_columns(raw_value).postings()
-
     def decode_columns(self, raw_value: bytes) -> PostingColumns:
         """Batch-decode one block value into its columnar form (the hot path)."""
         return self._codec.decode_columns(raw_value)

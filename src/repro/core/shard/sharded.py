@@ -309,6 +309,23 @@ class ShardedIndex(SetContainmentIndex):
         index.name = f"{template.name}x{len(shards)}"
         return index
 
+    def rebuilt_over(self, dataset: Dataset) -> "ShardedIndex":
+        """A fresh sharded index over ``dataset``, built the way this one was.
+
+        Same shard count, strategy, shard factory, build workers and recorded
+        shard options, so the fresh shards are page-identical to a first
+        build over ``dataset``.
+        """
+        fresh = ShardedIndex(
+            dataset,
+            self.num_shards,
+            strategy=self.partitioner.strategy,
+            factory=self._factory,
+            max_workers=self.max_workers,
+        )
+        fresh._index_options = self._index_options
+        return fresh
+
     # -- shard management ------------------------------------------------------------
 
     @property

@@ -19,11 +19,14 @@ resident, so a query checks each one with the expression's per-record
 semantics (:meth:`~repro.core.query.expr.Expr.matches`) and unions the
 matches into the disk index's answer.  This module provides that buffer,
 updatable wrappers around both index types (plus the sharded OIF) and the
-:class:`UpdateReport` used by the update experiment.
+:class:`UpdateReport` used by the update experiment.  A wrapper can also
+rebuild its disk index without holding queries and writes off for the
+build (:meth:`_UpdatableBase.rebuild`).
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -108,13 +111,18 @@ class _UpdatableBase:
 
     Every wrapper carries a :class:`~repro.concurrency.ReadWriteLock`
     (``rwlock``): queries take the read side — any number run concurrently,
-    the storage engine below is reader-safe — while ``insert`` and ``flush``
-    take the exclusive write side (they mutate the delta buffer and swap the
-    disk index).
+    the storage engine below is reader-safe — while ``insert``, ``delete``
+    and ``flush`` take the exclusive write side (they mutate the delta
+    buffer and swap the disk index).  :meth:`rebuild` builds with no lock
+    held and takes the write side only to swap.
+
+    Each wrapper builds its disk index in exactly one place, ``_build``;
+    ``_configure`` records what that build needs beyond the dataset.
     """
 
-    def __init__(self, dataset: Dataset) -> None:
+    def __init__(self, dataset: Dataset, index) -> None:
         self.dataset = dataset
+        self.index = index
         self.delta = DeltaInvertedFile()
         #: Concurrent readers / exclusive insert+flush.
         self.rwlock = ReadWriteLock()
@@ -123,6 +131,41 @@ class _UpdatableBase:
         #: filter them, :meth:`flush` drops them from the rebuilt dataset.
         self._tombstones: set[int] = set()
         self._update_listeners: list[UpdateListener] = []
+        #: Writes acked since an in-flight :meth:`rebuild` took its snapshot,
+        #: as :meth:`replay` frames; ``None`` while no rebuild runs.
+        self._journal: "list[dict] | None" = None
+        self._rebuild_lock = threading.Lock()
+
+    @classmethod
+    def from_existing(
+        cls, index, dataset: Dataset, *, next_id: "int | None" = None, **build_options
+    ):
+        """Wrap an already-built index (e.g. one reopened from disk) — no build.
+
+        ``build_options`` are the constructor's keyword options, kept for
+        later flushes and rebuilds.  ``next_id`` resumes the id counter where
+        a persisted index left it (deletes may have freed the largest ids).
+        """
+        wrapper = cls.__new__(cls)
+        wrapper._configure(**build_options)
+        _UpdatableBase.__init__(wrapper, dataset, index)
+        if next_id is not None:
+            wrapper._next_id = max(wrapper._next_id, next_id)
+        return wrapper
+
+    def _configure(self) -> None:
+        """Record the options :meth:`_build` needs (none by default)."""
+
+    def _build(self, dataset: Dataset):
+        """Build a fresh disk index over ``dataset`` — the wrapper's one build."""
+        raise NotImplementedError
+
+    def _install(self, dataset: Dataset, index) -> None:
+        """Make ``index`` over ``dataset`` the base, with nothing pending."""
+        self.dataset = dataset
+        self.index = index
+        self.delta.clear()
+        self._tombstones.clear()
 
     def add_update_listener(self, listener: UpdateListener) -> None:
         """Register a callback fired after each :meth:`insert` batch.
@@ -148,11 +191,8 @@ class _UpdatableBase:
         if any(not items for items in inserted):
             raise QueryError("cannot insert an empty transaction")
         with self.rwlock.write_locked():
-            new_ids: list[int] = []
-            for items in inserted:
-                self.delta.add(Record(self._next_id, items))
-                new_ids.append(self._next_id)
-                self._next_id += 1
+            new_ids = list(range(self._next_id, self._next_id + len(inserted)))
+            self._commit({"op": "insert", "ids": new_ids, "sets": inserted})
             if inserted:
                 for listener in self._update_listeners:
                     listener(inserted)
@@ -168,30 +208,56 @@ class _UpdatableBase:
         already-deleted id raises :class:`~repro.errors.QueryError` and leaves
         the index untouched.
         """
-        ids = list(record_ids)
         with self.rwlock.write_locked():
-            seen: set[int] = set()
-            for record_id in ids:
-                if record_id in seen:
-                    raise QueryError(f"record {record_id} deleted twice in one batch")
-                seen.add(record_id)
-                in_delta = record_id in self.delta
-                in_base = (
-                    self.dataset.has_id(record_id) and record_id not in self._tombstones
-                )
-                if not in_delta and not in_base:
-                    raise QueryError(f"cannot delete unknown record {record_id}")
-            removed: list[frozenset] = []
-            for record_id in ids:
-                if record_id in self.delta:
-                    removed.append(self.delta.remove(record_id))
-                else:
-                    self._tombstones.add(record_id)
-                    removed.append(self.dataset.get(record_id).items)
+            removed = self._commit({"op": "delete", "ids": list(record_ids)})
             if removed:
                 for listener in self._update_listeners:
                     listener(removed)
             return removed
+
+    def replay(self, frame: dict) -> None:
+        """Re-apply one logged write under the ids it was acknowledged with.
+
+        ``frame`` is ``{"op": "insert", "ids": [...], "sets": [...]}`` or
+        ``{"op": "delete", "ids": [...]}`` — the write-ahead log's frame
+        format.  Fires no listeners: every cached result the write affects
+        was already invalidated when it was first acknowledged.
+        """
+        with self.rwlock.write_locked():
+            self._commit(frame)
+
+    def _commit(self, frame: dict) -> list[frozenset]:
+        """Apply ``frame`` (caller holds the write side), journaling it for a rebuild."""
+        removed = self._apply(frame)
+        if self._journal is not None:
+            self._journal.append(frame)
+        return removed
+
+    def _apply(self, frame: dict) -> list[frozenset]:
+        """Apply one write frame to the delta and tombstones; returns deleted item sets."""
+        if frame["op"] == "insert":
+            for record_id, items in zip(frame["ids"], frame["sets"]):
+                self.delta.add(Record(record_id, frozenset(items)))
+                self._next_id = max(self._next_id, record_id + 1)
+            return []
+        ids = frame["ids"]
+        seen: set[int] = set()
+        for record_id in ids:
+            if record_id in seen:
+                raise QueryError(f"record {record_id} deleted twice in one batch")
+            seen.add(record_id)
+            in_delta = record_id in self.delta
+            in_base = self.dataset.has_id(record_id) and record_id not in self._tombstones
+            if not in_delta and not in_base:
+                raise QueryError(f"cannot delete unknown record {record_id}")
+        removed: list[frozenset] = []
+        for record_id in ids:
+            if record_id in self.delta:
+                removed.append(self.delta.remove(record_id))
+            else:
+                self._tombstones.add(record_id)
+                removed.append(self.dataset.get(record_id).items)
+        return removed
 
     @property
     def pending_updates(self) -> int:
@@ -202,6 +268,11 @@ class _UpdatableBase:
     def pending_deletes(self) -> int:
         """Tombstoned base records awaiting the next merge."""
         return len(self._tombstones)
+
+    @property
+    def num_records(self) -> int:
+        """Records a query can currently return (buffered adds minus deletes)."""
+        return len(self.dataset) + len(self.delta) - len(self._tombstones)
 
     def live_dataset(self) -> Dataset:
         """Snapshot of the records a query can currently return.
@@ -226,16 +297,63 @@ class _UpdatableBase:
         """Merge the delta buffer into the disk index, exclusively.
 
         Holds the write side of :attr:`rwlock` for the whole merge (each
-        wrapper's ``_flush_locked`` does the structure-specific work).
-        Serving deployments that cannot afford the pause rebuild outside the
-        lock instead and swap atomically
-        (:meth:`repro.service.index_manager.IndexManager.rebuild`).
+        wrapper's ``_flush_locked`` does the structure-specific work), so
+        queries wait for it.  :meth:`rebuild` folds the delta in without
+        that pause.
         """
         with self.rwlock.write_locked():
             return self._flush_locked()
 
     def _flush_locked(self) -> UpdateReport:
         raise NotImplementedError
+
+    def _merge_by_build(self, merged_count: int, start: float) -> UpdateReport:
+        """Flush by building over the live records (caller holds the write side)."""
+        dataset = self.live_dataset()
+        index = self._build(dataset)
+        self._install(dataset, index)
+        return self._report(merged_count, start, index.stats.snapshot())
+
+    def _report(self, merged_count: int, start: float, io: IOSnapshot) -> UpdateReport:
+        return UpdateReport(
+            index_name=self.index.name,
+            records_merged=merged_count,
+            merge_seconds=time.perf_counter() - start,
+            page_writes=io.page_writes,
+            page_reads=io.page_reads,
+        )
+
+    def rebuild(self) -> None:
+        """Rebuild the disk index over the live records, off the write lock.
+
+        1. Under the read side of :attr:`rwlock` (writers excluded), snapshot
+           :meth:`live_dataset` and start a journal of the writes to come.
+        2. Build the fresh index over the snapshot with no lock held: queries
+           keep reading the old index, writes keep landing in its delta and
+           tombstones — and in the journal.
+        3. Under the write side, install the fresh index and replay the
+           journal into an empty delta.  Replayed records keep their
+           acknowledged ids (the id counter never moved) and fire no
+           listeners (each write invalidated its cache entries when acked).
+
+        The journal lives only between snapshot and swap.  One rebuild runs
+        at a time; a second waits for the first.
+        """
+        with self._rebuild_lock:
+            with self.rwlock.read_locked():
+                dataset = self.live_dataset()
+                self._journal = []
+            try:
+                index = self._build(dataset)
+            except BaseException:
+                with self.rwlock.write_locked():
+                    self._journal = None
+                raise
+            with self.rwlock.write_locked():
+                journal, self._journal = self._journal, None
+                self._install(dataset, index)
+                for frame in journal:
+                    self._apply(frame)
 
     def measured_evaluate(self, expr) -> "tuple[list[int], IOSnapshot]":
         """Answer ``expr`` over the disk index and the delta, plus its exact I/O.
@@ -288,8 +406,8 @@ class UpdatableOIF(_UpdatableBase):
     ``env_factory`` (optional) supplies the storage environment for the
     initial build *and* every flush rebuild.  The durability layer uses it to
     keep every generation of the index on catalog-enabled environments whose
-    page images can be snapshotted verbatim; when omitted, rebuilds land on
-    plain in-memory environments sized like the current one.
+    page images can be snapshotted verbatim; when omitted, each build gets a
+    fresh in-memory environment made from ``oif_kwargs``.
     """
 
     def __init__(
@@ -299,64 +417,22 @@ class UpdatableOIF(_UpdatableBase):
         env_factory: "Callable[[], Environment] | None" = None,
         **oif_kwargs,
     ) -> None:
-        super().__init__(dataset)
-        self._oif_kwargs = dict(oif_kwargs)
-        self._env_factory = env_factory
-        if env_factory is not None:
-            self.index = OrderedInvertedFile(dataset, env=env_factory(), **self._oif_kwargs)
-        else:
-            self.index = OrderedInvertedFile(dataset, **self._oif_kwargs)
+        self._configure(env_factory=env_factory, **oif_kwargs)
+        super().__init__(dataset, self._build(dataset))
 
-    @classmethod
-    def from_existing(
-        cls,
-        index: OrderedInvertedFile,
-        dataset: Dataset,
-        *,
-        env_factory: "Callable[[], Environment] | None" = None,
-        **oif_kwargs,
-    ) -> "UpdatableOIF":
-        """Wrap an already-built OIF (e.g. one reopened from disk) — no rebuild."""
-        wrapper = cls.__new__(cls)
-        _UpdatableBase.__init__(wrapper, dataset)
-        wrapper._oif_kwargs = dict(oif_kwargs)
-        wrapper._env_factory = env_factory
-        wrapper.index = index
-        return wrapper
+    def _configure(
+        self, *, env_factory: "Callable[[], Environment] | None" = None, **oif_kwargs
+    ) -> None:
+        self._env_factory = env_factory
+        self._oif_kwargs = oif_kwargs
+
+    def _build(self, dataset: Dataset) -> OrderedInvertedFile:
+        env = self._env_factory() if self._env_factory is not None else None
+        return OrderedInvertedFile(dataset, env=env, **self._oif_kwargs)
 
     def _flush_locked(self) -> UpdateReport:
         """Merge the delta into the OIF by rebuilding it over the merged data."""
-        merged_count = len(self.delta) + len(self._tombstones)
-        start = time.perf_counter()
-        survivors = (
-            [record for record in self.dataset if record.record_id not in self._tombstones]
-            if self._tombstones
-            else list(self.dataset)
-        )
-        combined = Dataset(survivors + self.delta.records)
-        if self._env_factory is not None:
-            env = self._env_factory()
-        else:
-            env = Environment(
-                page_size=self.index.env.page_size,
-                cache_bytes=self.index.env.cache_pages * self.index.env.page_size,
-            )
-        before = env.stats.snapshot()
-        new_index = OrderedInvertedFile(combined, env=env, **self._oif_kwargs)
-        delta_stats = env.stats.since(before)
-        elapsed = time.perf_counter() - start
-
-        self.dataset = combined
-        self.index = new_index
-        self.delta.clear()
-        self._tombstones.clear()
-        return UpdateReport(
-            index_name=new_index.name,
-            records_merged=merged_count,
-            merge_seconds=elapsed,
-            page_writes=delta_stats.page_writes,
-            page_reads=delta_stats.page_reads,
-        )
+        return self._merge_by_build(self.pending_updates, time.perf_counter())
 
 
 def _shard_factory(
@@ -391,42 +467,28 @@ class UpdatableShardedOIF(_UpdatableBase):
         env_factory: "Callable[[], Environment] | None" = None,
         **oif_kwargs,
     ) -> None:
-        super().__init__(dataset)
-        self._oif_kwargs = dict(oif_kwargs)
-        self._env_factory = env_factory
         if env_factory is not None:
-            self.index = ShardedIndex(
+            # A factory cannot be combined with OIF options; without one the
+            # index records the options for the process backend's reopen.
+            oif_kwargs = {"factory": _shard_factory(env_factory, oif_kwargs)}
+        super().__init__(
+            dataset,
+            ShardedIndex(
                 dataset,
                 num_shards,
                 strategy=strategy,
                 max_workers=max_workers,
-                factory=_shard_factory(env_factory, self._oif_kwargs),
-            )
-        else:
-            self.index = ShardedIndex(
-                dataset,
-                num_shards,
-                strategy=strategy,
-                max_workers=max_workers,
-                **self._oif_kwargs,
-            )
+                **oif_kwargs,
+            ),
+        )
 
-    @classmethod
-    def from_existing(
-        cls,
-        index: ShardedIndex,
-        dataset: Dataset,
-        *,
-        env_factory: "Callable[[], Environment] | None" = None,
-        **oif_kwargs,
-    ) -> "UpdatableShardedOIF":
-        """Wrap an already-built sharded index (e.g. reopened shards) — no rebuild."""
-        wrapper = cls.__new__(cls)
-        _UpdatableBase.__init__(wrapper, dataset)
-        wrapper._oif_kwargs = dict(oif_kwargs)
-        wrapper._env_factory = env_factory
-        wrapper.index = index
-        return wrapper
+    def _build(self, dataset: Dataset) -> ShardedIndex:
+        """Shards over ``dataset`` laid out like the current ones.
+
+        The shard count, strategy, shard factory and build workers are read
+        back from the current :class:`ShardedIndex`.
+        """
+        return self.index.rebuilt_over(dataset)
 
     @property
     def num_shards(self) -> int:
@@ -443,24 +505,15 @@ class UpdatableShardedOIF(_UpdatableBase):
     def flush(self, max_workers: "int | None" = None) -> UpdateReport:
         """Merge the delta by rebuilding only the shards that own its records."""
         with self.rwlock.write_locked():
-            merged_count = len(self.delta) + len(self._tombstones)
+            merged_count = self.pending_updates
             start = time.perf_counter()
             report = self.index.absorb(
                 self.delta.records,
                 max_workers=max_workers,
                 removed_ids=self._tombstones,
             )
-            elapsed = time.perf_counter() - start
-            self.dataset = self.index.dataset
-            self.delta.clear()
-            self._tombstones.clear()
-            return UpdateReport(
-                index_name=self.index.name,
-                records_merged=merged_count,
-                merge_seconds=elapsed,
-                page_writes=report.io.page_writes,
-                page_reads=report.io.page_reads,
-            )
+            self._install(self.index.dataset, self.index)
+            return self._report(merged_count, start, report.io)
 
     @property
     def process_pool(self):
@@ -473,7 +526,8 @@ class UpdatableShardedOIF(_UpdatableBase):
         Writes (``insert``/``delete``/``flush``) stay in the parent: the delta
         buffer is merged after the workers' base-shard results come home, and
         ``flush`` re-images the rebuilt shards into the pool automatically via
-        :meth:`ShardedIndex.absorb`.
+        :meth:`ShardedIndex.absorb`.  :meth:`rebuild` replaces every shard,
+        so the pool stays with the old index; attach a new one afterwards.
         """
         self.index.attach_process_pool(pool)
 
@@ -504,9 +558,14 @@ class UpdatableIF(_UpdatableBase):
     """Classic inverted file with a delta buffer; the merge appends to the lists."""
 
     def __init__(self, dataset: Dataset, **if_kwargs) -> None:
-        super().__init__(dataset)
-        self._if_kwargs = dict(if_kwargs)
-        self.index = InvertedFile(dataset, **self._if_kwargs)
+        self._configure(**if_kwargs)
+        super().__init__(dataset, self._build(dataset))
+
+    def _configure(self, **if_kwargs) -> None:
+        self._if_kwargs = if_kwargs
+
+    def _build(self, dataset: Dataset) -> InvertedFile:
+        return InvertedFile(dataset, **self._if_kwargs)
 
     def _flush_locked(self) -> UpdateReport:
         """Merge the delta into the IF by appending postings to the lists.
@@ -514,48 +573,21 @@ class UpdatableIF(_UpdatableBase):
         The merge rewrites list pages in place, which no concurrent reader
         may observe half-done — hence the base class's exclusive hold.
         """
-        merged_count = len(self.delta) + len(self._tombstones)
-        fresh_records = self.delta.records
+        merged_count = self.pending_updates
         start = time.perf_counter()
         if self._tombstones:
             # Deletions cannot be merged by appending: the contiguous lists
             # still hold the dead postings.  Rebuild the whole IF over the
             # surviving records instead (the classic IF's compaction story).
-            survivors = [
-                record
-                for record in self.dataset
-                if record.record_id not in self._tombstones
-            ]
-            combined = Dataset(survivors + fresh_records)
-            new_index = InvertedFile(combined, **self._if_kwargs)
-            delta_stats = new_index.stats.snapshot()
-            elapsed = time.perf_counter() - start
-            self.dataset = combined
-            self.index = new_index
-            self.delta.clear()
-            self._tombstones.clear()
-            return UpdateReport(
-                index_name=new_index.name,
-                records_merged=merged_count,
-                merge_seconds=elapsed,
-                page_writes=delta_stats.page_writes,
-                page_reads=delta_stats.page_reads,
-            )
+            return self._merge_by_build(merged_count, start)
+        fresh_records = self.delta.records
         before = self.index.stats.snapshot()
         self.index.merge_records(fresh_records)
-        delta_stats = self.index.stats.since(before)
-        elapsed = time.perf_counter() - start
-
+        io = self.index.stats.since(before)
         self.dataset = Dataset(list(self.dataset) + fresh_records)
         self.index.dataset = self.dataset
         # The cached planner was built from the pre-merge frequency stats;
         # drop it so new items are not mistaken for maximally rare ones.
         self.index._planner = None
         self.delta.clear()
-        return UpdateReport(
-            index_name=self.index.name,
-            records_merged=merged_count,
-            merge_seconds=elapsed,
-            page_writes=delta_stats.page_writes,
-            page_reads=delta_stats.page_reads,
-        )
+        return self._report(merged_count, start, io)

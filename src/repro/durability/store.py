@@ -72,14 +72,6 @@ def _shard_dir(directory: str, position: int) -> str:
     return os.path.join(directory, f"shard-{position:02d}")
 
 
-def _fsync_file(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def _write_state_file(path: str, state: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(state, handle, separators=(",", ":"), sort_keys=True)
@@ -230,23 +222,13 @@ class IndexStore:
         for frame in frames:
             if frame["lsn"] <= self.checkpoint_lsn:
                 continue
-            self._apply_frame(handle, frame)
+            if frame.get("op") not in ("insert", "delete"):
+                raise DurabilityError(f"WAL frame has unknown operation {frame.get('op')!r}")
+            handle.replay(frame)
             self._next_lsn = max(self._next_lsn, frame["lsn"] + 1)
             replayed += 1
         self.replayed_records = replayed
         return replayed
-
-    def _apply_frame(self, handle: _UpdatableBase, frame: dict) -> None:
-        op = frame.get("op")
-        if op == "insert":
-            with handle.rwlock.write_locked():
-                for record_id, items in zip(frame["ids"], frame["sets"]):
-                    handle.delta.add(Record(record_id, frozenset(items)))
-                    handle._next_id = max(handle._next_id, record_id + 1)
-        elif op == "delete":
-            handle.delete(frame["ids"])
-        else:
-            raise DurabilityError(f"WAL frame has unknown operation {op!r}")
 
     # -- checkpoint -------------------------------------------------------------------
 
@@ -352,11 +334,13 @@ class DurableIndex:
     """Updatable-index facade that write-ahead-logs every acked update.
 
     Wraps an :class:`~repro.core.updates.UpdatableOIF` (or its sharded
-    sibling) plus an :class:`IndexStore`.  Queries, flushes and everything
-    else delegate to the wrapped handle; ``insert``/``delete`` additionally
-    append to the WAL *before returning*, so an acknowledged update survives
-    a crash, and :meth:`checkpoint` publishes a new generation and truncates
-    the log.
+    sibling) plus an :class:`IndexStore`.  Queries, flushes, rebuilds and
+    everything else delegate to the wrapped handle; ``insert``/``delete``
+    additionally append to the WAL *before returning*, so an acknowledged
+    update survives a crash, and :meth:`checkpoint` publishes a new
+    generation and truncates the log.  The wrapped handle never changes: a
+    rebuild swaps the index inside it and keeps its logical contents, so the
+    WAL and manifest stay a faithful recipe for the live state.
     """
 
     def __init__(self, inner: _UpdatableBase, store: IndexStore) -> None:
@@ -420,15 +404,6 @@ class DurableIndex:
             if self._inner.pending_updates:
                 self._inner.flush()
             return self.store.checkpoint(self._inner)
-
-    def swap_inner(self, fresh: _UpdatableBase) -> None:
-        """Replace the wrapped handle after an out-of-lock rebuild.
-
-        The fresh handle must hold the same logical contents (the service
-        layer replays missed updates before swapping), so the WAL + manifest
-        pair remains a faithful recipe for the live state.
-        """
-        self._inner = fresh
 
     def close(self) -> None:
         """Release the WAL file handles (pages live in memory; see the WAL)."""
@@ -535,7 +510,6 @@ def open_index(
         handle = _open_monolithic(directory, manifest, env_cache, options, env_factory)
     else:
         raise DurabilityError(f"unknown index kind {manifest['kind']!r} in manifest")
-    handle._next_id = manifest["next_id"]
     store = IndexStore(directory, manifest, fsync if fsync is not None else manifest["fsync"])
     store.replay_into(handle)
     return DurableIndex(handle, store)
@@ -566,7 +540,11 @@ def _open_monolithic(directory, manifest, cache_bytes, options, env_factory):
     env = load_environment(pages_path, manifest["page_size"], cache_bytes)
     index = load_oif(env, _load_state(state_path))
     return UpdatableOIF.from_existing(
-        index, index.dataset, env_factory=env_factory, **options
+        index,
+        index.dataset,
+        next_id=manifest["next_id"],
+        env_factory=env_factory,
+        **options,
     )
 
 
@@ -591,6 +569,4 @@ def _open_sharded(directory, manifest, cache_bytes, options, env_factory, max_wo
         ),
         max_workers=max_workers,
     )
-    return UpdatableShardedOIF.from_existing(
-        index, dataset, env_factory=env_factory, **options
-    )
+    return UpdatableShardedOIF.from_existing(index, dataset, next_id=manifest["next_id"])

@@ -131,11 +131,6 @@ def disable() -> None:
     configure(enabled=False)
 
 
-def is_enabled() -> bool:
-    """Whether tracing is globally on (new roots may still be sampled out)."""
-    return _enabled
-
-
 def is_active() -> bool:
     """Whether the calling context is inside an open trace."""
     return _current.get() is not None

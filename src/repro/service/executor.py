@@ -31,7 +31,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro import deadline as _deadline
 from repro.core.interfaces import QueryType
@@ -70,23 +70,6 @@ class QueryRequest:
         if not isinstance(expr, Expr):
             raise ServiceError(f"a query needs an expression, got {expr!r}")
         return cls(index=index, expr=expr.normalize(), deadline_ms=deadline_ms)
-
-    @classmethod
-    def coerce(
-        cls,
-        index: str,
-        query_type: "QueryType | str",
-        items: Iterable,
-        *,
-        deadline_ms: "float | None" = None,
-    ) -> "QueryRequest":
-        """Build a point-predicate request (the pre-expression calling style)."""
-        item_set = frozenset(items)
-        if not item_set:
-            raise ServiceError("a containment query needs at least one item")
-        return cls.of(
-            index, QueryType.parse(query_type).leaf(item_set), deadline_ms=deadline_ms
-        )
 
     @property
     def key(self) -> CacheKey:
@@ -277,38 +260,18 @@ class QueryExecutor:
         """Schedule one expression against a named index."""
         return self.submit_request(QueryRequest.of(index, expr))
 
-    def submit(
-        self, index: str, query_type: "QueryType | str", items: Iterable
-    ) -> "Future[QueryOutcome]":
-        """Schedule one point-predicate query (compatibility entry point)."""
-        return self.submit_request(QueryRequest.coerce(index, query_type, items))
-
     def execute_expr(self, index: str, expr: Expr) -> QueryOutcome:
         """Answer one expression, blocking until it resolves."""
         return self.submit_expr(index, expr).result()
 
-    def execute(
-        self, index: str, query_type: "QueryType | str", items: Iterable
-    ) -> QueryOutcome:
-        """Answer one point-predicate query, blocking until it resolves."""
-        return self.submit(index, query_type, items).result()
-
-    def execute_batch(self, requests: Sequence) -> list[QueryOutcome]:
-        """Answer a batch of requests, each a :class:`QueryRequest`, an
-        ``(index, expr)`` pair or an ``(index, type, items)`` triple.
+    def execute_batch(self, requests: Sequence[QueryRequest]) -> list[QueryOutcome]:
+        """Answer a batch of :class:`QueryRequest` objects.
 
         Every query is dispatched before any result is awaited, so the batch
         runs with the full concurrency of the pool; results come back in
         request order.
         """
-        futures = []
-        for request in requests:
-            if isinstance(request, QueryRequest):
-                futures.append(self.submit_request(request))
-            elif len(request) == 2:
-                futures.append(self.submit_expr(*request))
-            else:
-                futures.append(self.submit(*request))
+        futures = [self.submit_request(request) for request in requests]
         return [future.result() for future in futures]
 
     def shutdown(self, wait: bool = True) -> None:

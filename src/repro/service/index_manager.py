@@ -24,9 +24,10 @@ Lifecycle:
   on-disk generation, truncating its WAL;
 * ``open_resident`` brings every persisted index under ``data_dir`` back —
   no source dataset needed, crash-interrupted updates replayed from the WAL;
-* ``rebuild`` builds a fresh index *outside* any lock, replays any updates
-  that raced with the build, then swaps the handle in atomically — queries
-  keep being served from the old index during the (slow) build;
+* ``rebuild`` asks the handle to rebuild itself
+  (:meth:`repro.core.updates._UpdatableBase.rebuild`): the fresh index is
+  built *outside* any lock while queries keep being served from the old one
+  and writes keep landing, then swapped in under the handle's write lock;
 * ``drop`` evicts the index, flushes its cache entries and (for durable
   entries) deletes its on-disk directory.
 """
@@ -94,7 +95,8 @@ class ManagedIndex:
     Queries hold the read side of :attr:`lock` and run concurrently — the
     buffer pool below is thread-safe and every query carries its own read
     context, so the per-query page counts stay exact under interleaving.
-    Inserts, flushes, the drop flag and rebuild swaps take the write side.
+    Inserts, flushes, the drop flag and static-kind rebuild swaps take the
+    write side; an updatable handle swaps a rebuilt index under its own lock.
     """
 
     def __init__(
@@ -149,28 +151,17 @@ class ManagedIndex:
         self.catalog_envs = catalog_envs or handle is not None
         #: Reader-writer guard: shared for queries, exclusive for mutation.
         self.lock = ReadWriteLock()
-        #: Serializes rebuilds only; queries proceed under :attr:`lock`.
+        #: Serializes rebuilds, shard-pool re-attach included; queries
+        #: proceed under :attr:`lock`.
         self.rebuild_lock = threading.Lock()
         #: Set (under the write lock) when the index is evicted, so an
         #: in-flight evaluation cannot re-populate the result cache after
         #: the drop already invalidated the index's entries.
         self.dropped = False
-        self._listeners: list = []
-        #: Update transactions since creation — the replay source for
-        #: rebuilds.  One ``("insert", (record_id, items))`` entry per
-        #: inserted record, one ``("delete", ids)`` entry per delete batch.
-        self._insert_log: list[tuple] = []
-        #: Transactions trimmed off the front of the log (see insert_count).
-        self._insert_log_base = 0
         start = time.perf_counter()
-        if handle is not None:
-            # Adopt an already-opened handle (the ``open_resident`` path): no
-            # build happens, just the listener wiring.
-            self._handle = handle
-            if self.supports_updates:
-                handle.add_update_listener(self._fanout)
-        else:
-            self._handle = self._build_handle(dataset)
+        # ``handle`` adopts an already-opened index (the ``open_resident``
+        # path): no build happens.
+        self._handle = handle if handle is not None else self._build_handle(dataset)
         self.build_seconds = time.perf_counter() - start
 
     def _build_handle(self, dataset: Dataset):
@@ -203,23 +194,19 @@ class ManagedIndex:
                 cache_bytes = options.get("cache_bytes", PAPER_CACHE_BYTES)
                 env_factory = durable_env_factory(page_size, cache_bytes)
             if sharded:
-                # Shard builds (and later rebuild swaps / flushes) run
+                # Shard builds (and later rebuilds / flushes) run
                 # concurrently; by default one worker per shard.
-                handle = UpdatableShardedOIF(
+                return UpdatableShardedOIF(
                     dataset,
                     shards,
                     max_workers=build_workers or shards,
                     env_factory=env_factory,
                     **options,
                 )
-            else:
-                handle = UpdatableOIF(dataset, env_factory=env_factory, **options)
-        elif self.kind == "if":
-            handle = UpdatableIF(dataset, **options)
-        else:
-            return _STATIC_CLASSES[self.kind](dataset, **options)
-        handle.add_update_listener(self._fanout)
-        return handle
+            return UpdatableOIF(dataset, env_factory=env_factory, **options)
+        if self.kind == "if":
+            return UpdatableIF(dataset, **options)
+        return _STATIC_CLASSES[self.kind](dataset, **options)
 
     def make_durable(
         self,
@@ -297,10 +284,6 @@ class ManagedIndex:
             inner.detach_process_pool()
         pool.close()
 
-    def _fanout(self, item_sets: list[frozenset]) -> None:
-        for listener in self._listeners:
-            listener(item_sets)
-
     # -- introspection ---------------------------------------------------------------
 
     @property
@@ -323,21 +306,14 @@ class ManagedIndex:
     def num_records(self) -> int:
         """Records a query can currently return (buffered adds minus deletes)."""
         with self.lock.read_locked():
-            handle = _unwrap(self._handle)
-            count = len(handle.dataset)
             if self.supports_updates:
-                count += len(handle.delta) - handle.pending_deletes
-            return count
+                return self._handle.num_records
+            return len(self._handle.dataset)
 
     @property
     def pending_updates(self) -> int:
         with self.lock.read_locked():
             return self._handle.pending_updates if self.supports_updates else 0
-
-    @property
-    def insert_count(self) -> int:
-        """Total transactions inserted since creation (rebuild bookkeeping)."""
-        return self._insert_log_base + len(self._insert_log)
 
     def describe(self) -> dict:
         """JSON-friendly summary for the ``/indexes`` endpoint."""
@@ -440,12 +416,7 @@ class ManagedIndex:
                 # Mirrors the query-path guard: a write racing a drop must
                 # fail loudly, not be acknowledged into a discarded handle.
                 raise UnknownIndexError(f"no index named {self.name!r}")
-            new_ids = self._handle.insert(materialized)
-            self._insert_log.extend(
-                ("insert", (record_id, items))
-                for record_id, items in zip(new_ids, materialized)
-            )
-            return new_ids
+            return self._handle.insert(materialized)
 
     def delete(self, record_ids: Iterable[int]) -> list:
         """Delete records by id (updatable kinds only); fires update listeners."""
@@ -457,9 +428,7 @@ class ManagedIndex:
         with self.lock.write_locked():
             if self.dropped:
                 raise UnknownIndexError(f"no index named {self.name!r}")
-            removed = self._handle.delete(ids)
-            self._insert_log.append(("delete", tuple(ids)))
-            return removed
+            return self._handle.delete(ids)
 
     def checkpoint(self, force: bool = False) -> dict:
         """Flush deltas and publish a new on-disk generation (durable only)."""
@@ -468,9 +437,7 @@ class ManagedIndex:
         with self.lock.write_locked():
             if self.dropped:
                 raise UnknownIndexError(f"no index named {self.name!r}")
-            result = self._handle.checkpoint(force=force)
-            self._trim_insert_log()
-            return result
+            return self._handle.checkpoint(force=force)
 
     def flush(self) -> "UpdateReport | None":
         """Merge the delta buffer into the disk index (no-op for static kinds)."""
@@ -481,96 +448,42 @@ class ManagedIndex:
                 raise UnknownIndexError(f"no index named {self.name!r}")
             if not self._handle.pending_updates:
                 return None
-            report = self._handle.flush()
-            self._trim_insert_log()
-            return report
-
-    def _trim_insert_log(self) -> None:
-        """Drop replay history no rebuild can still need (caller holds write lock).
-
-        The log exists so a rebuild can replay inserts that raced with its
-        build; once those inserts are part of the base index (flush) or of a
-        swapped-in handle, the prefix is dead weight.  Skipped while a rebuild
-        is in flight — its snapshot mark still points into the log.
-        """
-        if self.rebuild_lock.acquire(blocking=False):
-            try:
-                self._insert_log_base += len(self._insert_log)
-                self._insert_log.clear()
-            finally:
-                self.rebuild_lock.release()
+            return self._handle.flush()
 
     def add_update_listener(self, listener) -> None:
-        """Register a callback fired with the item-sets of each insert batch.
+        """Register a callback fired with the item-sets of each write batch.
 
-        The callback rides on :meth:`repro.core.updates._UpdatableBase.insert`
-        via the handle's own listener hook, and survives rebuild swaps.
+        The callback rides on the handle's own listener hook
+        (:meth:`repro.core.updates._UpdatableBase.add_update_listener`);
+        a rebuild keeps the handle, so it keeps the callback too.  Static
+        kinds never fire it.
         """
-        self._listeners.append(listener)
+        if self.supports_updates:
+            self._handle.add_update_listener(listener)
 
-    # -- rebuild ---------------------------------------------------------------------
+    def rebuild(self) -> None:
+        """Rebuild the index over its live records and swap it in.
 
-    def snapshot_dataset(self) -> Dataset:
-        """Merged dataset (base + delta, minus tombstones) as of now."""
-        with self.lock.read_locked():
-            handle = _unwrap(self._handle)
-            if self.supports_updates and handle.pending_updates:
-                return handle.live_dataset()
-            return handle.dataset
-
-    def swap_handle(self, fresh: "ManagedIndex", since_insert: int) -> None:
-        """Atomically replace the underlying handle with ``fresh``'s.
-
-        ``since_insert`` is the update-log position the fresh handle was built
-        from; transactions logged after it are replayed first — inserts under
-        their original, already-acked record ids — so the swap loses no
-        update.  Exclusive: readers drain before the swap and the next ones
-        see the fresh handle — atomicity is the write lock.  For durable
-        entries the :class:`~repro.durability.DurableIndex` facade (WAL +
-        manifest) stays in place; only its wrapped handle is swapped.
+        Updatable kinds rebuild inside their handle, which keeps its
+        identity, WAL and listeners while only its index and dataset change;
+        static kinds are rebuilt over their dataset and swapped under the
+        write lock.  Cached results stay valid: every record keeps its id,
+        so the swap changes the physical layout but no query answer.
         """
-        with self.lock.write_locked():
-            missed = self._insert_log[max(0, since_insert - self._insert_log_base):]
-            fresh_inner = _unwrap(fresh._handle)
-            for op, payload in missed:
-                if op == "insert":
-                    record_id, items = payload
-                    # Re-apply under the id the live handle acked: aligning
-                    # the counter makes the fresh handle assign exactly it.
-                    fresh_inner._next_id = max(fresh_inner._next_id, record_id)
-                    assigned = fresh._handle.insert([items])
-                    if assigned != [record_id]:
-                        raise ServiceError(
-                            f"rebuild replay assigned id {assigned}, "
-                            f"expected [{record_id}]"
-                        )
-                else:
-                    fresh._handle.delete(list(payload))
+        with self.rebuild_lock:
+            start = time.perf_counter()
             if self.supports_updates:
-                # An id acked before the swap must never be reassigned after
-                # it, even when deleting the max-id record shrank the fresh
-                # handle's view of the id space.
-                fresh_inner._next_id = max(
-                    fresh_inner._next_id, _unwrap(self._handle)._next_id
-                )
-            if self.is_durable:
-                self._handle.swap_inner(fresh_inner)
+                self._handle.rebuild()
             else:
-                self._handle = fresh._handle
-            if self.supports_updates:
-                # The forwarder of the old handle dies with it; the fresh
-                # handle was wired to ``fresh._fanout`` — rewire it to ours.
-                fresh._listeners = self._listeners
-            self.build_seconds = fresh.build_seconds
-            # Everything in the log is now part of the swapped-in handle.
-            self._insert_log_base += len(self._insert_log)
-            self._insert_log.clear()
-        if self._shard_pool is not None:
-            # The old pool's workers hold images of the replaced shards;
-            # rebuild it over the fresh handle (outside the write lock — the
-            # spawn is slow and the swapped-in handle is already live).
-            self.close_shard_pool()
-            self.attach_shard_pool()
+                fresh = self._build_handle(self._handle.dataset)
+                with self.lock.write_locked():
+                    self._handle = fresh
+            self.build_seconds = time.perf_counter() - start
+            if self._shard_pool is not None:
+                # The pool's workers hold images of the replaced shards;
+                # spawn a fresh one over the rebuilt index.
+                self.close_shard_pool()
+                self.attach_shard_pool()
 
 
 class IndexManager:
@@ -801,32 +714,14 @@ class IndexManager:
             self.result_cache.invalidate_index(name)
 
     def rebuild(self, name: str) -> ManagedIndex:
-        """Rebuild ``name`` from its merged dataset and swap the handle in.
+        """Rebuild ``name`` over its live records (see :meth:`ManagedIndex.rebuild`).
 
-        The expensive build happens outside the per-index lock entirely, so
-        readers keep hitting the old index; inserts that arrive during the
-        build are replayed into the fresh handle before the swap, and the
-        swap itself is the only exclusive section.  Cached results stay
-        valid: the snapshot keeps every record id, so the swap changes the
-        physical layout but no query answer.
+        The expensive build happens outside every lock, so readers keep
+        hitting the old index and writes keep landing while it runs; the
+        handle replays those writes into its fresh delta when it swaps.
         """
         entry = self.get(name)
-        with entry.rebuild_lock:
-            with entry.lock.read_locked():
-                # Snapshot and log mark must be one atomic observation: an
-                # insert between them would be in neither the snapshot nor
-                # the replayed suffix.  Inserts take the write side, so the
-                # shared read hold is enough.
-                dataset = entry.snapshot_dataset()
-                mark = entry.insert_count
-            fresh = ManagedIndex(
-                entry.name,
-                entry.kind,
-                dataset,
-                catalog_envs=entry.catalog_envs,
-                **entry.options,
-            )
-            entry.swap_handle(fresh, mark)
+        entry.rebuild()
         return entry
 
     # -- updates ---------------------------------------------------------------------

@@ -190,17 +190,6 @@ class WorkloadGenerator:
                 workload.queries.append(self.query(query_type, size))
         return workload
 
-    def composite_workload(
-        self, sizes: Sequence[int], queries_per_size: int = 10
-    ) -> Workload:
-        """A workload of :meth:`composite_query` expressions over a size grid."""
-        _check_grid(sizes, queries_per_size)
-        workload = Workload(query_type=None)
-        for size in sizes:
-            for _ in range(queries_per_size):
-                workload.queries.append(self.composite_query(size))
-        return workload
-
     def mixed_workload(
         self, sizes: Sequence[int], queries_per_size: int = 10
     ) -> dict[QueryType, Workload]:

@@ -18,7 +18,7 @@ import pytest
 
 from repro import deadline as deadline_mod
 from repro.core import Dataset, OrderedInvertedFile
-from repro.core.query import Subset
+from repro.core.query import Subset, leaf_for
 from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
@@ -179,10 +179,10 @@ def test_executor_sheds_when_the_queue_is_full(serving):
     with entry.lock.write_locked():
         # The single worker blocks on the read lock, a second distinct query
         # fills the one queue slot — the third must be shed, not parked.
-        running = executor.submit("web", "subset", {"a"})
-        waiting = executor.submit("web", "subset", {"f"})
+        running = executor.submit_expr("web", leaf_for("subset", {"a"}))
+        waiting = executor.submit_expr("web", leaf_for("subset", {"f"}))
         with pytest.raises(OverloadedError) as caught:
-            executor.submit("web", "subset", {"b"})
+            executor.submit_expr("web", leaf_for("subset", {"b"}))
         assert caught.value.reason == "queue_full"
         assert caught.value.retry_after > 0.0
     assert running.result(timeout=5.0).record_ids
@@ -194,18 +194,18 @@ def test_executor_sheds_when_the_queue_is_full(serving):
 
 def test_cache_and_dedup_bypass_admission(serving):
     manager, executor = serving
-    warm = executor.execute("web", "subset", {"a", "b"})
+    warm = executor.execute_expr("web", leaf_for("subset", {"a", "b"}))
     assert warm.cached is False
     entry = manager.get("web")
     with entry.lock.write_locked():
-        blocked = executor.submit("web", "subset", {"c"})
+        blocked = executor.submit_expr("web", leaf_for("subset", {"c"}))
         deadline = time.monotonic() + 5.0
         while executor.admission.running == 0 and time.monotonic() < deadline:
             time.sleep(0.001)
         # A cached answer needs no worker slot and is never shed ...
-        assert executor.execute("web", "subset", {"a", "b"}).cached is True
+        assert executor.execute_expr("web", leaf_for("subset", {"a", "b"})).cached is True
         # ... and an identical in-flight query piggybacks instead of queueing.
-        mirror = executor.submit("web", "subset", {"c"})
+        mirror = executor.submit_expr("web", leaf_for("subset", {"c"}))
     assert blocked.result(timeout=5.0).record_ids == mirror.result(timeout=5.0).record_ids
     assert mirror.result().deduplicated is True
     assert executor.stats.shed == {}
@@ -215,7 +215,7 @@ def test_deadline_expired_in_queue_returns_promptly_without_reading(serving):
     manager, executor = serving
     entry = manager.get("web")
     with entry.lock.write_locked():
-        running = executor.submit("web", "subset", {"d"})
+        running = executor.submit_expr("web", leaf_for("subset", {"d"}))
         deadline = time.monotonic() + 5.0
         while executor.admission.running == 0 and time.monotonic() < deadline:
             time.sleep(0.001)
@@ -237,7 +237,7 @@ def test_deadline_expired_in_queue_returns_promptly_without_reading(serving):
 
 def test_expired_queries_leak_no_threads(serving):
     _, executor = serving
-    executor.execute("web", "subset", {"a"})  # pool thread exists already
+    executor.execute_expr("web", leaf_for("subset", {"a"}))  # pool thread exists already
     before = threading.active_count()
     for _ in range(5):
         with pytest.raises(DeadlineExceededError):
@@ -246,7 +246,7 @@ def test_expired_queries_leak_no_threads(serving):
             ).result(timeout=5.0)
     assert threading.active_count() == before
     # The executor still serves normally afterwards.
-    assert executor.execute("web", "subset", {"a"}).record_ids
+    assert executor.execute_expr("web", leaf_for("subset", {"a"})).record_ids
 
 
 # -- deadline across the multiprocess shard backend ------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,38 @@ def _load_script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture()
+def repo(tmp_path) -> Path:
+    """A git repository whose branches stand for the revisions the runs name.
+
+    ``parent-rev`` has 3 lines of ``src/**/*.py``; ``change-rev`` and ``c``
+    add a 2-line module and a non-Python file.
+    """
+    root = tmp_path / "repo"
+    (root / "src" / "pkg").mkdir(parents=True)
+
+    def git(*args: str) -> None:
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+            cwd=root,
+            check=True,
+            capture_output=True,
+        )
+
+    git("init", "-q")
+    (root / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\nz = 3\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    git("branch", "parent-rev")
+    (root / "src" / "pkg" / "b.py").write_text("w = 4\nv = 5\n")
+    (root / "src" / "pkg" / "data.txt").write_text("not\ncounted\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "change")
+    git("branch", "change-rev")
+    git("branch", "c")
+    return root
 
 
 def _run_output(
@@ -41,18 +74,21 @@ def _run_output(
     )
 
 
-def _summarize(script, tmp_path, parent_text: str, change_text: str, seed: int = 7) -> int:
+def _summarize(
+    script, tmp_path, repo: Path, parent_text: str, change_text: str, seed: int = 7
+) -> int:
     parent = tmp_path / "parent.txt"
     change = tmp_path / "change.txt"
     parent.write_text(parent_text)
     change.write_text(change_text)
     out = tmp_path / "bench.json"
     return script.main(
-        ["--workload", "w", "--pair", str(seed), str(parent), str(change), "--out", str(out)]
+        ["--workload", "w", "--pair", str(seed), str(parent), str(change), "--out", str(out),
+         "--repo", str(repo)]
     )
 
 
-def test_two_fake_runs_are_summarized_against_the_bounds(tmp_path):
+def test_two_fake_runs_are_summarized_against_the_bounds(tmp_path, repo):
     script = _load_script()
     parent = tmp_path / "parent.txt"
     change = tmp_path / "change.txt"
@@ -61,7 +97,8 @@ def test_two_fake_runs_are_summarized_against_the_bounds(tmp_path):
     out = tmp_path / "BENCH_paper-cold.json"
 
     status = script.main(
-        ["--workload", "paper-cold", "--pair", "7", str(parent), str(change), "--out", str(out)]
+        ["--workload", "paper-cold", "--pair", "7", str(parent), str(change), "--out", str(out),
+         "--repo", str(repo)]
     )
 
     record = json.loads(out.read_text())
@@ -72,6 +109,7 @@ def test_two_fake_runs_are_summarized_against_the_bounds(tmp_path):
     assert record["runs"][0]["host"] == {"git_rev": "parent-rev", "nproc": 2, "python": "3.11.7"}
     assert record["runs"][1]["command"][-2:] == ["--seed", "7"]
     assert record["revisions"] == {"parent": "parent-rev", "change": "change-rev"}
+    assert record["source_lines"] == {"parent": 3, "change": 5}
     assert record["runs"][1]["result"]["metrics"]["query_p50_ms"]["value"] == 6.0
     assert record["summary"]["parent"]["query_throughput_qps"] == {
         "unit": "1/s",
@@ -92,10 +130,11 @@ def test_two_fake_runs_are_summarized_against_the_bounds(tmp_path):
     assert "storage.btree_self_ms" not in record["comparison"]
 
 
-def test_more_failed_operations_is_a_regression(tmp_path):
+def test_more_failed_operations_is_a_regression(tmp_path, repo):
     status = _summarize(
         _load_script(),
         tmp_path,
+        repo,
         _run_output(qps=100.0, p50=4.0),
         _run_output(qps=100.0, p50=4.0, failed=3, git_rev="change-rev"),
     )
@@ -114,10 +153,12 @@ def test_more_failed_operations_is_a_regression(tmp_path):
         (_run_output(100.0, 4.0), _run_output(100.0, 4.0, seed=8, git_rev="c")),
         # No command line recorded.
         (_run_output(100.0, 4.0).split("\n", 1)[1], _run_output(100.0, 4.0, git_rev="c")),
+        # A revision the repository does not have: its source cannot be read.
+        (_run_output(100.0, 4.0), _run_output(100.0, 4.0, git_rev="no-such-rev")),
     ],
 )
-def test_runs_that_cannot_be_attributed_are_refused(tmp_path, parent_text, change_text):
+def test_runs_that_cannot_be_attributed_are_refused(tmp_path, repo, parent_text, change_text):
     with pytest.raises(SystemExit) as exit_info:
-        _summarize(_load_script(), tmp_path, parent_text, change_text)
+        _summarize(_load_script(), tmp_path, repo, parent_text, change_text)
     assert exit_info.value.code == 2
     assert not (tmp_path / "bench.json").exists()

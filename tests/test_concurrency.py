@@ -424,3 +424,129 @@ class TestServiceReadPath:
         payload = outcome.as_dict()
         assert payload["random_reads"] == outcome.random_reads
         assert payload["sequential_reads"] == outcome.sequential_reads
+
+
+class _BuildGate:
+    """Holds the first index construction after arming until released.
+
+    Patched onto the index class's ``__init__``, so it catches a rebuild's
+    build wherever the build is started from.  Only the first construction
+    (in any thread) blocks: a flush that builds while the rebuild is held
+    goes straight through.
+    """
+
+    def __init__(self, monkeypatch, index_class) -> None:
+        self.reached = threading.Event()
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+        original = index_class.__init__
+        gate = self
+
+        def gated(index, *args, **kwargs):
+            with gate._lock:
+                first = not gate.reached.is_set()
+                gate.reached.set()
+            if first:
+                gate.release.wait(timeout=60.0)
+            original(index, *args, **kwargs)
+
+        monkeypatch.setattr(index_class, "__init__", gated)
+
+
+REBUILD_CASES = [
+    pytest.param("oif", {}, False, id="oif"),
+    pytest.param("oif", {}, True, id="oif-durable"),
+    pytest.param("if", {}, False, id="if"),
+    pytest.param("oif", {"shards": 2}, False, id="sharded-oif"),
+    pytest.param("oif", {"shards": 2}, True, id="sharded-oif-durable"),
+]
+
+
+class TestRebuildRacingWrites:
+    """Writes that land while a rebuild's build is held survive the swap."""
+
+    @staticmethod
+    def _assert_matches_model(handle, model: dict) -> None:
+        from repro.baselines import NaiveScanIndex
+
+        live = handle.live_dataset()
+        assert {record.record_id: record.items for record in live} == model
+        oracle = NaiveScanIndex(live)
+        queries = _mixed_queries(live, count=24) + [
+            leaf_for(query_type, {item})
+            for query_type in ("subset", "equality", "superset")
+            for item in ("pre", "raced-a", "raced-b", "raced-late", "i0")
+        ]
+        for expr in queries:
+            assert handle.evaluate(expr) == oracle.evaluate(expr), expr
+
+    @pytest.mark.parametrize(("kind", "options", "durable"), REBUILD_CASES)
+    def test_writes_racing_a_held_build_survive_the_swap(
+        self, monkeypatch, tmp_path, kind, options, durable
+    ):
+        from repro.baselines import InvertedFile
+        from repro.durability import open_index
+
+        dataset = _dataset(num_records=200)
+        data_dir = str(tmp_path / "data") if durable else None
+        manager = IndexManager(data_dir=data_dir, fsync="never")
+        entry = manager.create("race", dataset, kind=kind, **options)
+        model = {record.record_id: record.items for record in dataset}
+        issued = set(model)
+
+        def insert(*transactions) -> list[int]:
+            ids = entry.insert(transactions)
+            for record_id, items in zip(ids, transactions):
+                model[record_id] = frozenset(items)
+            assert issued.isdisjoint(ids), "an id was handed out twice"
+            issued.update(ids)
+            return ids
+
+        def delete(*record_ids) -> None:
+            entry.delete(record_ids)
+            for record_id in record_ids:
+                del model[record_id]
+
+        pending = insert({"i0", "pre"})  # buffered when the snapshot is taken
+        gate = _BuildGate(monkeypatch, InvertedFile if kind == "if" else OrderedInvertedFile)
+        failures: list[BaseException] = []
+
+        def rebuild() -> None:
+            try:
+                manager.rebuild("race")
+            except BaseException as error:  # pragma: no cover - failure path
+                failures.append(error)
+
+        builder = threading.Thread(target=rebuild)
+        builder.start()
+        try:
+            assert gate.reached.wait(timeout=30.0), "the rebuild never started its build"
+            raced = insert({"i1", "raced-a"}, {"i2", "i3", "raced-b"})
+            delete(list(dataset)[5].record_id)  # a base record
+            delete(*pending)  # a record still pending at the snapshot
+            delete(*insert({"i4", "raced-gone"}))  # an insert and its delete
+            entry.flush()
+            if durable:
+                entry.checkpoint()
+            late = insert({"i5", "raced-late"})
+            assert builder.is_alive(), "the writes must land while the build is held"
+        finally:
+            gate.release.set()
+            builder.join(timeout=60.0)
+        assert not builder.is_alive(), "the rebuild hung"
+        assert failures == []
+
+        for record_id, item in zip(raced + late, ("raced-a", "raced-b", "raced-late")):
+            assert entry.evaluate(leaf_for("subset", {item})) == [record_id]
+        self._assert_matches_model(entry._handle, model)
+        after = insert({"i6", "after"})
+        self._assert_matches_model(entry._handle, model)
+        assert after[0] > max(issued - set(after))
+
+        if durable:
+            manager.close(checkpoint=False)
+            reopened = open_index(str(tmp_path / "data" / "race"))
+            try:
+                self._assert_matches_model(reopened, model)
+            finally:
+                reopened.close()

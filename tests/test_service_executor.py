@@ -10,8 +10,9 @@ import random
 
 from repro.core import Dataset
 from repro.core.query.expr import leaf_for
-from repro.errors import ServiceError
+from repro.errors import QueryError, ServiceError
 from repro.service import IndexManager, QueryExecutor, ResultCache
+from repro.service.executor import QueryRequest
 
 
 def sample_queries(dataset: Dataset, count: int, max_size: int, seed: int) -> list[frozenset]:
@@ -44,7 +45,7 @@ def serving(dataset):
 def test_execute_answers_match_the_oracle(serving, paper_oracle):
     _, _, executor = serving
     for query_type in ("subset", "equality", "superset"):
-        outcome = executor.execute("paper", query_type, {"a", "b"})
+        outcome = executor.execute_expr("paper", leaf_for(query_type, {"a", "b"}))
         assert list(outcome.record_ids) == paper_oracle.evaluate(leaf_for(query_type, {"a", "b"}))
         assert outcome.query_type.value == query_type
         assert outcome.latency_ms >= 0.0
@@ -52,24 +53,26 @@ def test_execute_answers_match_the_oracle(serving, paper_oracle):
 
 def test_empty_query_is_rejected(serving):
     _, _, executor = serving
-    with pytest.raises(ServiceError, match="at least one item"):
-        executor.execute("paper", "subset", set())
+    with pytest.raises(QueryError, match="non-empty query set"):
+        executor.execute_expr("paper", leaf_for("subset", set()))
+    with pytest.raises(ServiceError, match="needs an expression"):
+        executor.execute_expr("paper", ("subset", {"a"}))
 
 
 def test_unknown_index_raises_through_the_future(serving):
     _, _, executor = serving
     with pytest.raises(ServiceError, match="no index named"):
-        executor.execute("ghost", "subset", {"a"})
+        executor.execute_expr("ghost", leaf_for("subset", {"a"}))
     assert executor.stats.errors == 1
 
 
 def test_cache_hit_and_miss_accounting_is_exact(serving):
     _, cache, executor = serving
-    first = executor.execute("paper", "subset", {"a", "b"})
+    first = executor.execute_expr("paper", leaf_for("subset", {"a", "b"}))
     assert first.cached is False
     repeats = 5
     for _ in range(repeats):
-        again = executor.execute("paper", "subset", {"a", "b"})
+        again = executor.execute_expr("paper", leaf_for("subset", {"a", "b"}))
         assert again.cached is True
         assert again.record_ids == first.record_ids
         assert again.page_accesses == 0
@@ -84,24 +87,24 @@ def test_cache_hit_and_miss_accounting_is_exact(serving):
 
 def test_update_invalidates_cached_result_and_recomputes(serving, dataset):
     manager, _, executor = serving
-    before = executor.execute("paper", "subset", {"a", "b"})
-    assert executor.execute("paper", "subset", {"a", "b"}).cached is True
+    before = executor.execute_expr("paper", leaf_for("subset", {"a", "b"}))
+    assert executor.execute_expr("paper", leaf_for("subset", {"a", "b"})).cached is True
 
     (new_id,) = manager.insert("paper", [{"a", "b", "fresh"}])
 
-    after = executor.execute("paper", "subset", {"a", "b"})
+    after = executor.execute_expr("paper", leaf_for("subset", {"a", "b"}))
     assert after.cached is False, "the insert must invalidate the cached entry"
     assert set(after.record_ids) == set(before.record_ids) | {new_id}
     # An unrelated entry keeps serving from cache after the update.
-    executor.execute("paper", "superset", {"d", "h"})
-    assert executor.execute("paper", "superset", {"d", "h"}).cached is True
+    executor.execute_expr("paper", leaf_for("superset", {"d", "h"}))
+    assert executor.execute_expr("paper", leaf_for("superset", {"d", "h"})).cached is True
 
 
 def test_batch_of_100_queries_matches_oracle(serving, dataset, paper_oracle):
     _, _, executor = serving
     queries = sample_queries(dataset, count=100, max_size=3, seed=42)
     outcomes = executor.execute_batch(
-        [("paper", "subset", items) for items in queries]
+        [QueryRequest.of("paper", leaf_for("subset", items)) for items in queries]
     )
     assert len(outcomes) == 100
     for items, outcome in zip(queries, outcomes):
@@ -125,7 +128,7 @@ def test_identical_inflight_queries_are_deduplicated(dataset):
 
     entry.measured_expr = slow_measured
     with QueryExecutor(manager, cache=None, max_workers=4) as executor:
-        futures = [executor.submit("paper", "subset", {"a", "b"}) for _ in range(6)]
+        futures = [executor.submit_expr("paper", leaf_for("subset", {"a", "b"})) for _ in range(6)]
         release.set()
         outcomes = [future.result(timeout=10.0) for future in futures]
 
@@ -152,7 +155,7 @@ def test_concurrent_mixed_queries_from_many_threads(serving, dataset, paper_orac
         try:
             for items in queries:
                 for query_type in ("subset", "equality", "superset"):
-                    outcome = executor.execute("paper", query_type, items)
+                    outcome = executor.execute_expr("paper", leaf_for(query_type, items))
                     assert list(outcome.record_ids) == expected[(query_type, items)]
         except BaseException as error:  # pragma: no cover - failure path
             errors.append(error)
@@ -187,7 +190,7 @@ def test_drop_prevents_stale_cache_population(dataset):
     manager.get = lambda name: entry  # stale resolution, as a racing worker saw it
     with QueryExecutor(manager, cache=cache, max_workers=1) as executor:
         with pytest.raises(ServiceError, match="no index named"):
-            executor.execute("victim", "subset", {"a"})
+            executor.execute_expr("victim", leaf_for("subset", {"a"}))
     assert len(cache) == 0, "the dropped index must not leave cache entries behind"
 
 
@@ -197,7 +200,7 @@ def test_submit_after_shutdown_is_rejected(dataset):
     executor = QueryExecutor(manager, max_workers=1)
     executor.shutdown()
     with pytest.raises(ServiceError, match="shut down"):
-        executor.submit("paper", "subset", {"a"})
+        executor.submit_expr("paper", leaf_for("subset", {"a"}))
 
 
 def test_worker_count_must_be_positive(dataset):
@@ -212,8 +215,8 @@ def test_executor_adopts_the_managers_cache_and_rejects_a_split_pair(dataset):
     manager.create("paper", dataset, kind="oif")
     with QueryExecutor(manager) as executor:       # no cache passed: adopt
         assert executor.cache is cache
-        executor.execute("paper", "subset", {"a"})
-        assert executor.execute("paper", "subset", {"a"}).cached is True
+        executor.execute_expr("paper", leaf_for("subset", {"a"}))
+        assert executor.execute_expr("paper", leaf_for("subset", {"a"})).cached is True
     with pytest.raises(ServiceError, match="must be the manager's result_cache"):
         QueryExecutor(manager, cache=ResultCache(capacity=8))
 
@@ -226,9 +229,9 @@ def test_executor_binds_its_cache_to_a_cacheless_manager(dataset):
     cache = ResultCache(capacity=8)
     with QueryExecutor(manager, cache=cache) as executor:
         assert manager.result_cache is cache
-        before = executor.execute("paper", "subset", {"a", "b"})
-        assert executor.execute("paper", "subset", {"a", "b"}).cached is True
+        before = executor.execute_expr("paper", leaf_for("subset", {"a", "b"}))
+        assert executor.execute_expr("paper", leaf_for("subset", {"a", "b"})).cached is True
         (new_id,) = manager.insert("paper", [{"a", "b", "bound"}])
-        after = executor.execute("paper", "subset", {"a", "b"})
+        after = executor.execute_expr("paper", leaf_for("subset", {"a", "b"}))
         assert after.cached is False
         assert set(after.record_ids) == set(before.record_ids) | {new_id}

@@ -110,20 +110,6 @@ def test_cache_wired_after_create_still_invalidates(dataset):
     assert cache.get(key) is None
 
 
-def test_insert_log_is_trimmed_by_flush_and_rebuild(manager, dataset):
-    entry = manager.create("paper", dataset, kind="oif")
-    manager.insert("paper", [{"a", "x1"}, {"a", "x2"}])
-    assert entry.insert_count == 2
-    manager.flush("paper")
-    assert entry.insert_count == 2, "the trim must not forget how many inserts happened"
-    assert entry._insert_log == []
-    manager.insert("paper", [{"a", "x3"}])
-    manager.rebuild("paper")
-    assert entry.insert_count == 3
-    assert entry._insert_log == []
-    assert entry.evaluate(leaf_for("subset", {"x3"}))
-
-
 def test_insert_into_static_kind_is_rejected(manager, dataset):
     manager.create("sig", dataset, kind="sig")
     with pytest.raises(ServiceError, match="does not support updates"):
@@ -208,17 +194,62 @@ def test_rebuild_keeps_update_listeners_wired(manager, dataset):
     assert seen == [[frozenset({"q", "r"})]]
 
 
-def test_rebuild_replays_inserts_that_raced_with_the_build(manager, dataset):
-    """Simulate an insert landing between snapshot and swap."""
+def test_rebuild_never_reissues_a_deleted_id(manager, dataset):
+    """The newest record deleted before a rebuild leaves its id retired."""
     entry = manager.create("paper", dataset, kind="oif")
-    snapshot = entry.snapshot_dataset()
-    mark = entry.insert_count
+    (newest,) = manager.insert("paper", [{"a", "doomed"}])
+    entry.delete([newest])
+    manager.rebuild("paper")
+    (after,) = manager.insert("paper", [{"a", "later"}])
+    assert after > newest
+
+
+@pytest.mark.parametrize(
+    ("kind", "options", "durable"),
+    [
+        ("oif", {}, False),
+        ("oif", {}, True),
+        ("if", {}, False),
+        ("oif", {"shards": 3}, False),
+        ("oif", {"shards": 3}, True),
+    ],
+    ids=["oif", "oif-durable", "if", "sharded-oif", "sharded-oif-durable"],
+)
+def test_rebuild_matches_a_fresh_build_page_for_page(
+    tmp_path, skewed_dataset, kind, options, durable
+):
+    """A rebuilt entry reads exactly the pages a fresh build over its records does."""
     from repro.service.index_manager import ManagedIndex
 
-    fresh = ManagedIndex("paper", "oif", snapshot)
-    racing_id = manager.insert("paper", [{"raced"}])[0]   # arrives mid-build
-    entry.swap_handle(fresh, mark)
-    assert entry.evaluate(leaf_for("subset", {"raced"})) == [racing_id]
+    manager = IndexManager(data_dir=str(tmp_path) if durable else None, fsync="never")
+    entry = manager.create("re", skewed_dataset, kind=kind, **options)
+    entry.insert([{"a", "b", "zz"}, {"c", "yy"}, {"a", "c", "d"}])
+    entry.delete([list(skewed_dataset)[3].record_id, list(skewed_dataset)[40].record_id])
+    manager.rebuild("re")
+    fresh = ManagedIndex(
+        "fresh",
+        kind,
+        entry._handle.live_dataset(),
+        catalog_envs=entry.catalog_envs,
+        **options,
+    )
+    pages_read = 0
+    for query_type in ("subset", "equality", "superset"):
+        for items in ({"a"}, {"a", "b"}, {"c", "d", "e"}, {"a", "b", "zz"}, {"c", "yy"}):
+            expr = leaf_for(query_type, items)
+            entry.index.drop_cache()
+            fresh.index.drop_cache()
+            ids, io, _ = entry.measured_expr(expr)
+            fresh_ids, fresh_io, _ = fresh.measured_expr(expr)
+            assert ids == fresh_ids, expr
+            pages_read += io.page_reads
+            assert (io.page_reads, io.random_reads, io.sequential_reads) == (
+                fresh_io.page_reads,
+                fresh_io.random_reads,
+                fresh_io.sequential_reads,
+            ), expr
+    assert pages_read > 15, "every query runs cold, so most must read pages"
+    manager.close(checkpoint=False)
 
 
 def test_queries_and_inserts_from_many_threads_stay_consistent(manager, dataset, paper_oracle):
