@@ -4,7 +4,7 @@ The partition-aware index trades a per-shard fixed cost (every shard answers
 every query) for three wins this benchmark quantifies at 1/2/4/8 shards:
 
 * **build** — each shard sorts and bulk-loads a fraction of the data (the
-  super-linear parts of construction shrink; *thread* fan-out is still
+  super-linear parts of construction shrink; threaded builds are still
   GIL-bound for the CPU parts — the process backend below sidesteps that);
 * **pruning preserved** — aggregate data-page reads per query grow far more
   slowly than the shard count: every shard still prunes with its own
@@ -14,14 +14,15 @@ every query) for three wins this benchmark quantifies at 1/2/4/8 shards:
 * **merge cost** — flushing a small delta batch rebuilds only the affected
   shards, beating the monolithic full rebuild wall-clock.
 
-A second sweep compares the two shard *execution backends* at 1/2/4/8
-workers: GIL-bound thread fan-out versus the multiprocess backend
-(:mod:`repro.core.shard.procpool`), which ships queries to worker
-interpreters and returns columnar id buffers.  Results and per-shard page
-counts must be bit-identical between backends at every scale.  Two CPU
-assertions need full-size posting lists and real cores: the backend's keep
-rule (processes at least 1.5x faster than threads at 2 workers, >= 2 usable
-cores) and the 2.5x floor at 4 workers (>= 4 usable cores).
+A second sweep compares the two shard *execution backends*: in-process
+fan-out, which runs the shards one after another on the querying thread,
+versus the multiprocess backend (:mod:`repro.core.shard.procpool`) at
+1/2/4/8 workers, which ships queries to worker interpreters and returns
+columnar id buffers.  Results and per-shard page counts must be
+bit-identical between backends at every scale.  Two CPU assertions need
+full-size posting lists and real cores: the backend's keep rule (processes
+at 2 workers at least 1.5x faster than in-process, >= 2 usable cores) and
+the 2.5x floor at 4 workers (>= 4 usable cores).
 
 Small (1 KB) pages keep the page-access signal visible at benchmark scale.
 """
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -232,12 +232,12 @@ def test_hot_limit_queries(benchmark, dataset, hot_items, sharding_table, num_sh
     )
 
 
-# --- execution-backend sweep: threads vs processes ---------------------------------
+# --- execution-backend sweep: in-process vs processes ------------------------------
 #
 # The probes drain full posting lists of distinct frequent items with caches
 # dropped before every query, so each shard task is dominated by v-byte
-# decode — pure Python CPU that thread fan-out cannot parallelize under the
-# GIL but worker processes can.
+# decode — pure Python CPU that one interpreter runs serially but worker
+# processes can run in parallel.
 
 BACKEND_SHARDS = 8
 WORKER_COUNTS = (1, 2, 4, 8)
@@ -270,7 +270,7 @@ def _cold(index, procpool=None):
         procpool.drop_caches()
 
 
-def run_probe_batch(index, probes, pool=None, procpool=None) -> float:
+def run_probe_batch(index, probes, procpool=None) -> float:
     """Aggregate fan-out seconds over the batch, caches dropped per probe
     (the drops stay outside the clock: both backends should be timed on the
     same work, not on their cache-reset plumbing)."""
@@ -278,7 +278,7 @@ def run_probe_batch(index, probes, pool=None, procpool=None) -> float:
     for expr in probes:
         _cold(index, procpool)
         started = time.perf_counter()
-        index.fanout_evaluate(expr, pool=pool)
+        index.fanout_evaluate(expr)
         elapsed += time.perf_counter() - started
     return elapsed
 
@@ -293,7 +293,7 @@ def _stat_key(stats):
 def assert_backends_bit_identical(index, pool, probes) -> int:
     """Ids, per-shard page counts and absorbed IO totals match exactly.
 
-    The check toggles one index between backends (detach -> threads,
+    The check toggles one index between backends (detach -> in-process,
     attach -> processes) so both answer from the very same shard layout.
     Returns the batch's aggregate page count for the results table.
     """
@@ -301,13 +301,13 @@ def assert_backends_bit_identical(index, pool, probes) -> int:
     for expr in probes:
         index.detach_process_pool()
         _cold(index)
-        t_ids, t_stats = index.fanout_evaluate(expr)
+        i_ids, i_stats = index.fanout_evaluate(expr)
         index.attach_process_pool(pool)
         _cold(index, pool)
         before = index.io_snapshot()
         p_ids, p_stats = index.fanout_evaluate(expr)
-        assert list(p_ids) == list(t_ids), "backends must return identical ids"
-        assert _stat_key(p_stats) == _stat_key(t_stats), (
+        assert list(p_ids) == list(i_ids), "backends must return identical ids"
+        assert _stat_key(p_stats) == _stat_key(i_stats), (
             "per-shard page accounting must survive the process boundary"
         )
         delta = index.io_snapshot() - before
@@ -347,24 +347,14 @@ def backend_table(backend_dataset):
 
     timings: dict[tuple[str, int], float] = {}
     pages_seen = set()
-    serial_s = None
-    for workers in WORKER_COUNTS:
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="bench-fanout"
-        ) as thread_pool:
-            run_probe_batch(index, probes, pool=thread_pool)  # warm-up
-            best = min(
-                run_probe_batch(index, probes, pool=thread_pool)
-                for _ in range(BACKEND_ROUNDS)
-            )
-        _cold(index)
-        _, stats = index.fanout_evaluate(probes[0])
-        pages = sum(s.page_accesses for s in stats)
-        timings[("threads", workers)] = best
-        if serial_s is None:
-            serial_s = best
-        add_row("threads", workers, best, pages, 0.0, serial_s)
-        pages_seen.add(pages)
+    run_probe_batch(index, probes)  # warm-up
+    serial_s = min(run_probe_batch(index, probes) for _ in range(BACKEND_ROUNDS))
+    _cold(index)
+    _, stats = index.fanout_evaluate(probes[0])
+    pages = sum(s.page_accesses for s in stats)
+    timings[("in-process", 1)] = serial_s
+    add_row("in-process", 1, serial_s, pages, 0.0, serial_s)
+    pages_seen.add(pages)
 
     for workers in WORKER_COUNTS:
         started = time.perf_counter()
@@ -398,9 +388,10 @@ def backend_table(backend_dataset):
         "host both backends serialize and only the IPC overhead is visible"
     )
     table.add_note(
-        "speedup_x: relative to threads/1 worker; batch_pages: aggregate "
-        "page accesses of the first probe, identical across all configs "
-        "(bit-identity is asserted per probe at workers=4)"
+        "speedup_x: relative to in-process fan-out (the querying thread runs "
+        "every shard); batch_pages: aggregate page accesses of the first "
+        "probe, identical across all configs (bit-identity is asserted per "
+        "probe at workers=4)"
     )
     save_tables("shard_backend_scaling", [table])
     return table, timings
@@ -409,28 +400,27 @@ def backend_table(backend_dataset):
 def test_backends_stay_bit_identical(backend_table):
     """The equivalence assertions inside the sweep ran (any scale)."""
     table, _ = backend_table
-    assert {row["backend"] for row in table.rows} == {"threads", "processes"}
+    assert {row["backend"] for row in table.rows} == {"in-process", "processes"}
 
 
 @pytest.mark.skipif(BENCH_SCALE < 1, reason="wall-clock is noise at smoke sizes")
 def test_process_overhead_is_bounded(backend_table):
     """Even with no spare cores, columnar IPC keeps the backend competitive."""
     _, timings = backend_table
-    assert timings[("processes", 4)] <= timings[("threads", 1)] * 1.75
+    assert timings[("processes", 4)] <= timings[("in-process", 1)] * 1.75
 
 
 @pytest.mark.skipif(BENCH_SCALE < 1, reason="CPU signal needs full-size lists")
 @pytest.mark.skipif(HOST_CPUS < 2, reason="the keep rule needs >= 2 usable cores")
 def test_process_backend_earns_its_keep_at_two_workers(backend_table):
-    """The backend's keep-or-delete rule: >= 1.5x over threads at 2 workers."""
+    """The backend's keep-or-delete rule: >= 1.5x over in-process at 2 workers."""
     _, timings = backend_table
-    assert timings[("processes", 2)] * 1.5 <= timings[("threads", 2)]
+    assert timings[("processes", 2)] * 1.5 <= timings[("in-process", 1)]
 
 
 @pytest.mark.skipif(BENCH_SCALE < 1, reason="CPU signal needs full-size lists")
 @pytest.mark.skipif(HOST_CPUS < 4, reason="CPU scaling needs >= 4 usable cores")
 def test_process_backend_beats_the_gil(backend_table):
-    """>= 2.5x wall-clock at 4 process workers vs threaded fan-out."""
+    """>= 2.5x wall-clock at 4 process workers vs in-process fan-out."""
     _, timings = backend_table
-    threaded = timings[("threads", 4)]
-    assert timings[("processes", 4)] * 2.5 <= threaded
+    assert timings[("processes", 4)] * 2.5 <= timings[("in-process", 1)]

@@ -200,8 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shard-backend", choices=("threads", "processes"), default="threads",
-        help="fan sharded queries out on threads (default) or a persistent "
-        "worker-process pool that sidesteps the GIL",
+        help="evaluate shards in-process on the querying thread (default) or "
+        "in a persistent worker-process pool that sidesteps the GIL",
     )
     serve.add_argument(
         "--shard-workers", type=_positive_int, default=None,

@@ -1,11 +1,14 @@
 """Multiprocess shard execution: per-worker processes owning fixed shard sets.
 
-Threaded fan-out (:func:`~repro.core.shard.sharded.run_sharing_pool`) keeps
-page counts exact but buys little wall clock for CPU-bound probes — the GIL
-serializes the decode/intersect work.  Shards are shared-nothing (one private
-storage environment each), so the process boundary is natural: this module
-runs each shard inside a long-lived worker process that holds the shard
-*open*, and ships only expressions in and columnar results out.
+In-process fan-out (:meth:`ShardedIndex.fanout_evaluate
+<repro.core.shard.sharded.ShardedIndex.fanout_evaluate>`) runs a query's
+shards one after another on the query's own thread: threads would buy little
+wall clock for CPU-bound probes, since the GIL serializes the
+decode/intersect work.  This module is the parallel path.  Shards are
+shared-nothing (one private storage environment each), so the process
+boundary is natural: it runs each shard inside a long-lived worker process
+that holds the shard *open*, and ships only expressions in and columnar
+results out.
 
 How a :class:`ShardProcessPool` works:
 

@@ -13,8 +13,9 @@ That independence is what the surrounding layers exploit:
 * :meth:`execute` returns a
   :class:`~repro.core.shard.merge.MergedShardCursor` over the per-shard
   streaming cursors, so ``limit k`` still stops reading pages after ``k`` ids;
-* :meth:`fanout_evaluate` materializes per shard — optionally on a thread
-  pool — and reports a per-shard page/latency breakdown for the service layer;
+* :meth:`fanout_evaluate` materializes per shard — on the calling thread, or
+  in worker processes when a process pool is attached — and reports a
+  per-shard page/latency breakdown for the service layer;
 * :meth:`absorb` merges freshly inserted records by rebuilding *only the
   shards that received any*, which is what shrinks the OIF's batch-update
   merge cost.
@@ -35,7 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro import deadline as _deadline
 from repro.core.interfaces import SetContainmentIndex
 from repro.core.oif import OrderedInvertedFile
 from repro.core.query.expr import Expr, Leaf, slice_ids, split_limit
@@ -69,49 +69,19 @@ def _merge_sorted(streams: "Sequence[Sequence[int]]") -> list[int]:
     return merged
 
 
-def run_sharing_pool(pool: "ThreadPoolExecutor | None", run, items: Sequence) -> list:
-    """Run ``run(item)`` for every item, borrowing ``pool`` without deadlocking.
+def run_sharing_pool(pool: object, run, items: Sequence) -> list:
+    """Run ``run(item)`` for every item, in order, on the calling thread.
 
-    Safe on a *shared* pool whose workers may themselves be blocked waiting
-    on fan-outs: every task is submitted, then each is either awaited (it got
-    a thread and, being lock-free, will finish) or — if ``Future.cancel()``
-    succeeds because no worker ever picked it up — executed inline by the
-    caller.  Progress is therefore guaranteed regardless of pool saturation,
-    which is what lets the serving layer share one executor pool between
-    query workers and shard fan-out instead of keeping a dedicated pool per
-    resident index.  Results come back in item order.
+    This is the in-process shard fan-out loop of
+    :meth:`ShardedIndex.fanout_evaluate`: the shards of one query run one
+    after another on the thread that evaluates the query, so they inherit
+    its trace span and its deadline and take no thread that admission
+    control does not count.  ``pool`` is ignored; the name and signature
+    stay because the benchmark's per-layer tracer wraps this function by
+    name (``oifbench/layers.py``).  The parallel path is the process
+    backend (:class:`~repro.core.shard.procpool.ShardProcessPool`).
     """
-    if pool is None or len(items) < 2:
-        return [run(item) for item in items]
-    futures = []
-    for item in items:
-        try:
-            # Each submission carries its own copy of the caller's trace
-            # context *and* the caller's deadline, so spans opened in pool
-            # workers nest under the submitting query and an expired query
-            # stops reading pages on every shard (both wraps are identity
-            # functions when tracing/deadlines are off).
-            futures.append((item, pool.submit(trace.wrap(_deadline.wrap(run)), item)))
-        except RuntimeError:
-            # The pool is shutting down; the remaining items run inline so a
-            # query already in flight still completes.
-            futures.append((item, None))
-    out = []
-    for position, (item, future) in enumerate(futures):
-        try:
-            if future is None or future.cancel():
-                out.append(run(item))
-            else:
-                out.append(future.result())
-        except BaseException:
-            # Don't abandon siblings on the shared pool: queued ones are
-            # cancelled, started ones are drained, so no work outlives the
-            # failed call (or its caller's lock scope).
-            for _, leftover in futures[position + 1:]:
-                if leftover is not None and not leftover.cancel():
-                    leftover.exception()
-            raise
-    return out
+    return [run(item) for item in items]
 
 
 class AggregateIOStatistics:
@@ -187,6 +157,22 @@ class ShardQueryStat:
             "decoded_hits": self.decoded_hits,
             "decoded_misses": self.decoded_misses,
         }
+
+    @classmethod
+    def from_io(
+        cls, shard: int, matches: int, io: IOSnapshot, elapsed_ms: float
+    ) -> "ShardQueryStat":
+        """One shard's stat from the I/O its evaluation read (either backend)."""
+        return cls(
+            shard=shard,
+            matches=matches,
+            page_accesses=io.page_reads,
+            elapsed_ms=elapsed_ms,
+            random_reads=io.random_reads,
+            sequential_reads=io.sequential_reads,
+            decoded_hits=io.decoded_hits,
+            decoded_misses=io.decoded_misses,
+        )
 
 
 @dataclass(frozen=True)
@@ -365,7 +351,7 @@ class ShardedIndex(SetContainmentIndex):
         self._procpool = pool
 
     def detach_process_pool(self) -> None:
-        """Fall back to in-process (threaded) fan-out; the pool stays usable."""
+        """Fall back to in-process fan-out; the pool stays usable."""
         self._procpool = None
 
     def _absorb_remote(self, remote, ctx: "ReadContext | None") -> None:
@@ -513,9 +499,7 @@ class ShardedIndex(SetContainmentIndex):
         )
         return FanoutPlan(plans, count=count, offset=offset).explain()
 
-    def fanout_evaluate(
-        self, expr: Expr, pool: "ThreadPoolExecutor | None" = None
-    ) -> tuple[list[int], list[ShardQueryStat]]:
+    def fanout_evaluate(self, expr: Expr) -> tuple[list[int], list[ShardQueryStat]]:
         """Materialize ``expr`` shard by shard with a per-shard cost breakdown.
 
         Each shard evaluates through its own cursor — and therefore its own
@@ -524,15 +508,12 @@ class ShardedIndex(SetContainmentIndex):
         limit is applied *after* the ordered merge, matching the delta-aware
         evaluation semantics of :meth:`repro.core.updates._UpdatableBase.evaluate`.
 
-        ``pool`` may be any shared executor, including the serving layer's
-        query pool: tasks are submitted and then either awaited or — when the
-        pool is saturated and never started them — cancelled and run inline
-        by the caller, so fan-out can never deadlock on pool exhaustion.
-
-        With a process pool attached, the shards evaluate in their worker
-        processes instead (``pool`` is ignored): results and per-shard page
-        counts are bit-identical to the threaded fan-out, the workers'
-        I/O snapshots are absorbed back into the shard totals, and any trace
+        In-process, the shards run one after another on the calling thread
+        (:func:`run_sharing_pool`), inside the caller's trace span and
+        deadline.  With a process pool attached, the shards evaluate in
+        their worker processes instead: results and per-shard page counts
+        are bit-identical to the in-process fan-out, the workers' I/O
+        snapshots are absorbed back into the shard totals, and any trace
         spans the workers record are grafted under the calling query's span.
         """
         inner, count, offset = split_limit(expr)
@@ -544,17 +525,9 @@ class ShardedIndex(SetContainmentIndex):
             for position in sorted(remotes):
                 remote = remotes[position]
                 self._absorb_remote(remote, None)
-                delta = remote.io
                 stats.append(
-                    ShardQueryStat(
-                        shard=position,
-                        matches=len(remote.ids),
-                        page_accesses=delta.page_reads,
-                        elapsed_ms=remote.elapsed_ms,
-                        random_reads=delta.random_reads,
-                        sequential_reads=delta.sequential_reads,
-                        decoded_hits=delta.decoded_hits,
-                        decoded_misses=delta.decoded_misses,
+                    ShardQueryStat.from_io(
+                        position, len(remote.ids), remote.io, remote.elapsed_ms
                     )
                 )
                 streams.append(remote.ids)
@@ -572,20 +545,11 @@ class ShardedIndex(SetContainmentIndex):
                 cursor = shard.execute(inner)
                 ids = sorted(cursor.fetch_all())
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            delta = cursor.io_delta()
-            stat = ShardQueryStat(
-                shard=position,
-                matches=len(ids),
-                page_accesses=delta.page_reads,
-                elapsed_ms=elapsed_ms,
-                random_reads=delta.random_reads,
-                sequential_reads=delta.sequential_reads,
-                decoded_hits=delta.decoded_hits,
-                decoded_misses=delta.decoded_misses,
+            return ids, ShardQueryStat.from_io(
+                position, len(ids), cursor.io_delta(), elapsed_ms
             )
-            return ids, stat
 
-        outcomes = run_sharing_pool(pool, run, pairs)
+        outcomes = run_sharing_pool(None, run, pairs)
         merged = _merge_sorted([ids for ids, _ in outcomes])
         return slice_ids(merged, count, offset), [stat for _, stat in outcomes]
 

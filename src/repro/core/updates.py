@@ -535,14 +535,14 @@ class UpdatableShardedOIF(_UpdatableBase):
         """Detach and return the process pool (does not close it)."""
         return self.index.detach_process_pool()
 
-    def evaluate_detail(self, expr, pool=None):
+    def evaluate_detail(self, expr):
         """Like :meth:`evaluate`, plus the per-shard cost breakdown.
 
         The shards are materialized through
-        :meth:`ShardedIndex.fanout_evaluate` (concurrently when ``pool`` is
-        given); buffered delta records merge in with zero page cost and the
-        top-level limit slices the combined, sorted stream — identical
-        semantics to the base ``evaluate``.
+        :meth:`ShardedIndex.fanout_evaluate` (on the calling thread, or in
+        the attached process pool's workers); buffered delta records merge
+        in with zero page cost and the top-level limit slices the combined,
+        sorted stream — identical semantics to the base ``evaluate``.
         """
         from repro.core.query.expr import Expr, split_limit
 
@@ -550,7 +550,7 @@ class UpdatableShardedOIF(_UpdatableBase):
             raise QueryError(f"evaluate_detail() needs a query expression, got {expr!r}")
         with self.rwlock.read_locked():
             normalized, count, offset = split_limit(expr)
-            base, shard_stats = self.index.fanout_evaluate(normalized, pool=pool)
+            base, shard_stats = self.index.fanout_evaluate(normalized)
             return self._merge_delta_and_slice(base, normalized, count, offset), shard_stats
 
 

@@ -18,9 +18,8 @@ half-charged when the deadline fires.
 
 Propagation:
 
-* **threads** — :func:`wrap` captures the submitting thread's deadline so
-  shard fan-out tasks running on a shared pool inherit it (the fan-out layer
-  composes it with :func:`repro.obs.trace.wrap`);
+* **threads** — in-process shard fan-out runs on the query's own thread,
+  inside the context where the deadline is armed, so every shard sees it;
 * **processes** — a deadline cannot cross the process boundary as an
   absolute monotonic instant; the parent ships the *remaining* budget in
   milliseconds and each worker arms a fresh local deadline from it
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import time
 from contextvars import ContextVar
-from typing import Callable
 
 from repro.errors import DeadlineExceededError
 
@@ -104,25 +102,3 @@ def check() -> None:
             "query deadline exceeded "
             f"({-deadline.remaining_ms():.1f} ms past the deadline)"
         )
-
-
-def wrap(fn: Callable) -> Callable:
-    """Capture the caller's deadline for execution on another thread.
-
-    Identity when no deadline is armed (zero overhead); otherwise the
-    returned callable arms the captured deadline around ``fn`` — used by the
-    shard fan-out so tasks on a shared pool inherit the submitting query's
-    deadline.
-    """
-    deadline = _CURRENT.get()
-    if deadline is None:
-        return fn
-
-    def _with_deadline(*args, **kwargs):
-        token = _CURRENT.set(deadline)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _CURRENT.reset(token)
-
-    return _with_deadline

@@ -6,9 +6,9 @@ The package is deliberately zero-dependency and cheap-by-default:
   latency histograms with exact-to-one-bucket percentiles, plus a
   :class:`~repro.obs.metrics.MetricsRegistry` that renders Prometheus text
   exposition format (the ``GET /metrics`` endpoint);
-* :mod:`repro.obs.trace` — a contextvar-propagated span API
-  (``with trace.span("decode"):``) that builds nested span trees across the
-  executor pool and the shard fan-out, with aggregate *stages* for hot-loop
+* :mod:`repro.obs.trace` — a contextvar-carried span API
+  (``with trace.span("decode"):``) that builds one nested span tree per
+  query, shard fan-out included, with aggregate *stages* for hot-loop
   instrumentation points (v-byte decode, buffer-pool fetches, intersections).
   Everything no-ops when tracing is disabled (the default), so the
   benchmarked page counts and timings are unaffected;

@@ -1,4 +1,4 @@
-"""Zero-dependency trace spans, contextvar-propagated across thread pools.
+"""Zero-dependency trace spans, carried by a context variable.
 
 A *trace* is one tree of :class:`Span` nodes describing where a single query
 spent its time.  Two granularities coexist:
@@ -6,9 +6,9 @@ spent its time.  Two granularities coexist:
 * **spans** (``with trace.span("plan"):``) — real tree nodes for coarse
   phases: the root query, planning, execution, one node per fanned-out shard.
   Nested ``span()`` calls parent correctly because the active span lives in a
-  :mod:`contextvars` variable, and :func:`wrap` ships a copy of the caller's
-  context into pool workers, so shard spans land under the right query even
-  on a shared executor;
+  :mod:`contextvars` variable; in-process shards run on the query's own
+  thread, so their spans nest under it, and the process backend grafts its
+  workers' rendered spans in with :func:`attach_rendered`;
 * **stages** (``token = trace.stage_begin() ... trace.stage_end("decode",
   token)``) — aggregate counters on the *current* span for hot-loop
   instrumentation points (block scans, v-byte decodes, buffer-pool fetches,
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from contextvars import ContextVar, copy_context
+from contextvars import ContextVar
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Iterator
 
 _enabled = False
 _sample_every = 1
@@ -235,28 +235,6 @@ def stage_end(name: str, token: "float | None") -> None:
     if active.frames:
         active.frames[-1][0] += elapsed_ms
     active.span.add_stage(name, elapsed_ms - frame[0])
-
-
-# -- pool propagation ----------------------------------------------------------------
-
-
-def wrap(fn: Callable) -> Callable:
-    """Capture the caller's trace context for execution on another thread.
-
-    Identity when not tracing (zero overhead); otherwise the returned
-    callable runs ``fn`` inside a private copy of the submitting context, so
-    ``span()`` calls in a pool worker parent under the submitting query.
-    Capture one wrapper per task — a single context copy cannot run
-    concurrently.
-    """
-    if _current.get() is None:
-        return fn
-    ctx = copy_context()
-
-    def _in_context(*args, **kwargs):
-        return ctx.run(fn, *args, **kwargs)
-
-    return _in_context
 
 
 # -- rendering -----------------------------------------------------------------------

@@ -14,10 +14,9 @@ just a point predicate — goes through three gates:
    queries evaluate concurrently; only inserts/flushes/swaps are exclusive),
    evaluates the expression through the planner/cursor machinery, charges
    exactly its own page accesses through the traversal's read context and
-   populates the cache.  Sharded indexes fan their per-shard work out over
-   this same pool — :func:`repro.core.shard.run_sharing_pool` runs tasks the
-   saturated pool never starts inline in the submitting worker, so sharing
-   cannot deadlock.
+   populates the cache.  A sharded index evaluates its shards one after
+   another on that same worker (or in the process backend's workers), so
+   every busy pool thread is a request admission control has counted.
 
 Batches (:meth:`QueryExecutor.execute_batch`) dispatch every query before
 waiting on any, so independent queries overlap across indexes and cache hits
@@ -377,9 +376,7 @@ class QueryExecutor:
             with obs_trace.span("execute"), entry.lock.read_locked():
                 if entry.dropped:
                     raise UnknownIndexError(f"no index named {request.index!r}")
-                record_ids, io_delta, shard_stats = entry.measured_expr(
-                    request.expr, fanout_pool=self._pool
-                )
+                record_ids, io_delta, shard_stats = entry.measured_expr(request.expr)
                 if self.cache is not None:
                     self.cache.put(request.key, record_ids)
                 # Deregister from in-flight while the read hold is still

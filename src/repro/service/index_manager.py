@@ -37,7 +37,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator
 
 from repro.baselines.naive import NaiveScanIndex
@@ -78,8 +77,9 @@ _STATIC_CLASSES = {
     "naive": NaiveScanIndex,
 }
 
-#: How sharded entries fan queries out: in-process threads (exact but
-#: GIL-bound) or a persistent worker-process pool (see
+#: How sharded entries fan queries out: ``threads`` runs the shards in
+#: process, on the querying thread (exact but GIL-bound); ``processes`` uses
+#: a persistent worker-process pool (see
 #: :class:`repro.core.shard.ShardProcessPool`).
 SHARD_BACKENDS = ("threads", "processes")
 
@@ -351,7 +351,7 @@ class ManagedIndex:
             return self._handle.evaluate(expr)
 
     def measured_expr(
-        self, expr, fanout_pool: "ThreadPoolExecutor | None" = None
+        self, expr
     ) -> "tuple[tuple[int, ...], IOSnapshot, tuple[ShardQueryStat, ...] | None]":
         """Answer an expression: ``(record_ids, io_delta, shard_stats)``.
 
@@ -362,16 +362,13 @@ class ManagedIndex:
         ``None`` otherwise.
 
         Holds only the *read* side of the entry lock, so any number of
-        queries evaluate concurrently.  Sharded handles fan out on
-        ``fanout_pool`` (typically the query executor's own pool — see
-        :func:`repro.core.shard.run_sharing_pool` for why sharing it cannot
-        deadlock); without one the shards evaluate serially.
+        queries evaluate concurrently.  Sharded handles evaluate their shards
+        one after another on the calling thread, or in the process backend's
+        workers when one is attached.
         """
         with self.lock.read_locked():
             if isinstance(_unwrap(self._handle), UpdatableShardedOIF):
-                record_ids, shard_stats = self._handle.evaluate_detail(
-                    expr, pool=fanout_pool
-                )
+                record_ids, shard_stats = self._handle.evaluate_detail(expr)
                 delta = IOSnapshot(
                     page_reads=sum(stat.page_accesses for stat in shard_stats),
                     random_reads=sum(stat.random_reads for stat in shard_stats),
@@ -398,7 +395,8 @@ class ManagedIndex:
 
         Durable entries own open WAL file handles through their store;
         process-backend entries own their worker pool; plain entries own
-        nothing (fan-out borrows the caller's pool) and close as a no-op.
+        nothing (in-process fan-out runs on the querying thread) and close
+        as a no-op.
         """
         self.close_shard_pool()
         if self.is_durable:
@@ -741,7 +739,8 @@ class IndexManager:
         A clean shutdown checkpoints every durable index so the next open is
         a pure page load with an empty WAL; pass ``checkpoint=False`` to
         skip that (crash-simulation paths).  Plain entries own no resources
-        (fan-out shares the caller's executor pool) and close as a no-op.
+        (in-process fan-out runs on the querying thread) and close as a
+        no-op.
         """
         for entry in self:
             if checkpoint and entry.is_durable and not entry.dropped:

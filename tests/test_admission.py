@@ -136,19 +136,6 @@ class TestDeadline:
         assert deadline_mod.current() is None
         deadline_mod.check()  # must not raise
 
-    def test_wrap_carries_the_deadline_to_another_thread(self):
-        token = deadline_mod.activate(deadline_mod.Deadline.after_ms(60_000))
-        try:
-            wrapped = deadline_mod.wrap(lambda: deadline_mod.current())
-        finally:
-            deadline_mod.deactivate(token)
-        seen = []
-        thread = threading.Thread(target=lambda: seen.append(wrapped()))
-        thread.start()
-        thread.join()
-        assert seen[0] is not None
-        assert deadline_mod.current() is None
-
     def test_deadline_error_pickles(self):
         error = DeadlineExceededError("query deadline exceeded (12.0 ms past)")
         clone = pickle.loads(pickle.dumps(error))

@@ -9,8 +9,8 @@ The acceptance contract of the concurrent refactor:
   any interleaving and any cache size;
 * the service query path holds only the shared (read) side of the entry
   lock, while insert/flush/rebuild-swap stay exclusive;
-* sharded fan-out borrows the shared executor pool without deadlocking,
-  even when the pool is fully saturated.
+* sharded queries answer correctly on a saturated executor: each one's
+  shards run on the worker that took it, so no query waits on a free thread.
 
 Run in CI under ``pytest-timeout`` with faulthandler enabled, so a deadlock
 dumps stacks and fails fast instead of hanging the job.

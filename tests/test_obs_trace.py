@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -133,28 +132,6 @@ class TestStages:
 
 
 class TestPoolPropagation:
-    def test_wrap_parents_worker_spans_under_the_submitting_query(self):
-        def work(position: int) -> None:
-            with trace.span("shard", shard=position):
-                token = trace.stage_begin()
-                trace.stage_end("decode", token)
-
-        root = trace.begin("query")
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [trace.wrap(work) for _ in range(6)]
-            list(pool.map(lambda pair: pair[0](pair[1]), zip(futures, range(6))))
-        tree = trace.finish(root)
-        shards = sorted(child["meta"]["shard"] for child in tree["children"])
-        assert shards == list(range(6))
-        for child in tree["children"]:
-            assert child["stages"]["decode"]["count"] == 1
-
-    def test_wrap_is_identity_outside_a_trace(self):
-        def work():
-            return 42
-
-        assert trace.wrap(work) is work
-
     def test_concurrent_queries_keep_their_spans_apart(self):
         """N threads each run a root with children; no cross-contamination."""
         errors: list[str] = []

@@ -1,6 +1,6 @@
 """Multiprocess shard backend: equivalence, accounting and fault recovery.
 
-The process backend must be observationally identical to threaded fan-out —
+The process backend must be observationally identical to in-process fan-out —
 same result ids, same per-shard page counts (the paper's cost metric) and the
 same ``sum(contexts) == totals`` accounting invariant — while its workers run
 in separate interpreters.  Hypothesis drives random datasets and expression

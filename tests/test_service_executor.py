@@ -121,10 +121,10 @@ def test_identical_inflight_queries_are_deduplicated(dataset):
     original_measured = entry.measured_expr
     evaluations = []
 
-    def slow_measured(expr, fanout_pool=None):
+    def slow_measured(expr):
         evaluations.append(expr)
         release.wait(timeout=5.0)
-        return original_measured(expr, fanout_pool=fanout_pool)
+        return original_measured(expr)
 
     entry.measured_expr = slow_measured
     with QueryExecutor(manager, cache=None, max_workers=4) as executor:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro import deadline
 from repro.core import Dataset, OrderedInvertedFile, ShardedIndex
 from repro.core.query import And, Equality, Not, Or, Subset, Superset, leaf_for
 from repro.core.records import Record
@@ -17,7 +20,8 @@ from repro.core.shard import (
     stable_id_hash,
 )
 from repro.core.updates import UpdatableOIF, UpdatableShardedOIF
-from repro.errors import QueryError
+from repro.errors import DeadlineExceededError, QueryError
+from repro.obs import trace
 from repro.storage.stats import DiskModel, IOSnapshot
 
 
@@ -304,6 +308,36 @@ class TestShardedIndex:
         ]
         assert sum(stat.matches for stat in stats) == len(ids)
         assert sum(stat.page_accesses for stat in stats) > 0
+
+
+    def test_fanout_evaluate_runs_in_the_callers_trace_and_deadline(self, sharded_pair):
+        """Shards run on the calling thread: their spans nest under the caller's
+        root, and the caller's expired deadline stops them before any page read."""
+        _, sharded = sharded_pair
+        item = sorted(sharded.dataset.vocabulary, key=str)[0]
+        expr = Subset(frozenset([item]))
+        live = [
+            position
+            for position in range(sharded.num_shards)
+            if sharded.shard_at(position) is not None
+        ]
+        trace.configure(enabled=True)
+        try:
+            root = trace.begin("query")
+            sharded.fanout_evaluate(expr)
+            tree = trace.finish(root)
+        finally:
+            trace.disable()
+        assert [child["meta"]["shard"] for child in tree["children"]] == live
+        sharded.drop_cache()
+        before = sharded.io_snapshot()
+        token = deadline.activate(deadline.Deadline(time.monotonic() - 1.0))
+        try:
+            with pytest.raises(DeadlineExceededError):
+                sharded.fanout_evaluate(expr)
+        finally:
+            deadline.deactivate(token)
+        assert sharded.io_snapshot().page_reads == before.page_reads
 
 
 class TestUpdatableShardedOIF:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.cli import main
@@ -9,7 +12,8 @@ from repro.core import Dataset
 from repro.core.query import Subset
 from repro.core.updates import UpdatableShardedOIF
 from repro.datasets.io import write_transactions
-from repro.errors import ServiceError
+from repro.errors import DeadlineExceededError, ServiceError
+from repro.obs import trace
 from repro.service import (
     IndexManager,
     QueryExecutor,
@@ -17,6 +21,7 @@ from repro.service import (
     ServiceClient,
     ServiceServer,
 )
+from repro.service.executor import QueryRequest
 
 TRANSACTIONS = [
     {"a", "b", "g"}, {"a", "e"}, {"a", "b", "e", "f"}, {"a", "b", "d"},
@@ -106,23 +111,79 @@ class TestManagerSharding:
         assert isinstance(entry._handle, UpdatableShardedOIF), "rebuild keeps sharding"
         assert entry.evaluate(expr) == manager.get("mono").evaluate(expr)
 
-    def test_fanout_borrows_the_caller_pool_without_deadlock(self, dataset):
-        """Sharded fan-out shares the query pool; saturation runs tasks inline.
+    def test_shards_run_on_the_worker_that_took_the_request(self, dataset):
+        """Every shard of a served query runs on the executor worker that took it.
 
-        Regression for the removed per-entry fan-out pool: even a 1-worker
-        executor — where the submitting worker IS the whole pool — must
-        answer sharded queries (the fan-out tasks are cancelled off the full
-        queue and executed by the caller itself).
+        Fan-out borrows no other thread, so a 1-worker executor — where that
+        worker is the whole pool — answers exactly like a 4-worker one.
         """
+        oracle = sorted(record.record_id for record in dataset if "a" in record.items)
+        for workers in (1, 4):
+            manager = IndexManager()
+            entry = manager.create("s", dataset, kind="oif", shards=4)
+            shard_threads: list[int] = []
+            for position in range(4):
+                shard = entry._handle.index.shard_at(position)
+
+                def execute(*args, _original=shard.execute, **kwargs):
+                    shard_threads.append(threading.get_ident())
+                    return _original(*args, **kwargs)
+
+                shard.execute = execute
+            request_threads: list[int] = []
+
+            def measured_expr(expr, _measured=entry.measured_expr):
+                request_threads.append(threading.get_ident())
+                return _measured(expr)
+
+            entry.measured_expr = measured_expr
+            with QueryExecutor(manager, cache=None, max_workers=workers) as executor:
+                outcome = executor.execute_expr("s", Subset(frozenset(["a"])))
+            assert len(request_threads) == 1
+            assert request_threads[0] != threading.get_ident(), "a pool worker took it"
+            assert shard_threads == request_threads * 4
+            assert list(outcome.record_ids) == oracle
+            assert outcome.shard_stats is not None
+            assert [stat.shard for stat in outcome.shard_stats] == [0, 1, 2, 3]
+
+    def test_served_shard_spans_nest_under_the_query_span(self, dataset):
+        """In-process shards run inside the query's trace context."""
         manager = IndexManager()
         manager.create("s", dataset, kind="oif", shards=4)
-        with QueryExecutor(manager, cache=None, max_workers=1) as executor:
-            outcome = executor.execute_expr("s", Subset(frozenset(["a"])))
-        assert outcome.shard_stats is not None and len(outcome.shard_stats) == 4
-        oracle = sorted(
-            record.record_id for record in dataset if "a" in record.items
-        )
-        assert list(outcome.record_ids) == oracle
+        trace.configure(enabled=True)
+        try:
+            with QueryExecutor(manager, cache=None, max_workers=2) as executor:
+                outcome = executor.execute_expr("s", Subset(frozenset(["a"])))
+        finally:
+            trace.disable()
+        assert outcome.trace is not None and outcome.trace["name"] == "query"
+        (execute,) = [
+            child for child in outcome.trace["children"] if child["name"] == "execute"
+        ]
+        shards = [child for child in execute["children"] if child["name"] == "shard"]
+        assert [child["meta"]["shard"] for child in shards] == [0, 1, 2, 3]
+
+    def test_expired_deadline_stops_every_later_shard(self, dataset):
+        """The query's deadline is armed where its shards run: once it expires
+        in one shard, no later shard reads a page."""
+        manager = IndexManager()
+        entry = manager.create("s", dataset, kind="oif", shards=4)
+        sharded = entry._handle.index
+        sharded.drop_cache()
+        first = sharded.shard_at(0)
+
+        def slow_execute(*args, _original=first.execute, **kwargs):
+            time.sleep(0.05)
+            return _original(*args, **kwargs)
+
+        first.execute = slow_execute
+        before = [sharded.shard_at(position).io_snapshot() for position in range(4)]
+        with QueryExecutor(manager, cache=None, max_workers=2) as executor:
+            request = QueryRequest.of("s", Subset(frozenset(["a"])), deadline_ms=20)
+            with pytest.raises(DeadlineExceededError):
+                executor.submit_request(request).result()
+        after = [sharded.shard_at(position).io_snapshot() for position in range(4)]
+        assert [b.page_reads for b in before] == [a.page_reads for a in after]
 
     def test_dropped_entry_refuses_served_queries_and_writes(self, dataset):
         from repro.errors import UnknownIndexError
