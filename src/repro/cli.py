@@ -30,6 +30,7 @@ from repro import __version__
 from repro.baselines import InvertedFile, SignatureFile, UnorderedBTreeInvertedFile
 from repro.core import OrderedInvertedFile, QueryType, ShardedIndex
 from repro.core.query import expr_from_dict
+from repro.core.updates import UpdatableShardedOIF
 from repro.datasets import (
     MsnbcConfig,
     MswebConfig,
@@ -120,12 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--shard-backend", choices=("threads", "processes"), default="threads",
-        help="evaluate shards in-process (default) or in worker processes "
+        help="evaluate shards in-process (default) or in worker processes, "
+        "one per usable core up to the shard count "
         "(--index oif with --shards > 1 only)",
-    )
-    query.add_argument(
-        "--shard-workers", type=_positive_int, default=None,
-        help="worker processes for --shard-backend processes",
     )
     query.add_argument("--limit", type=int, default=20, help="max record ids to print")
     query.add_argument("--explain", action="store_true", help="print the physical plan")
@@ -200,13 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shard-backend", choices=("threads", "processes"), default="threads",
-        help="evaluate shards in-process on the querying thread (default) or "
-        "in a persistent worker-process pool that sidesteps the GIL",
-    )
-    serve.add_argument(
-        "--shard-workers", type=_positive_int, default=None,
-        help="worker processes for --shard-backend processes "
-        "(default: min(cpus, shards))",
+        help="evaluate every sharded index's shards in-process on the querying "
+        "thread (default) or in a persistent worker-process pool, one worker "
+        "per usable core up to the shard count, that sidesteps the GIL",
     )
     serve.add_argument("--workers", type=int, default=4, help="query worker threads")
     serve.add_argument("--cache-capacity", type=int, default=4096, help="result cache entries")
@@ -330,21 +324,19 @@ def _parse_cli_expr(args: argparse.Namespace):
     return QueryType.parse(args.predicate).leaf(args.items)
 
 
+def _check_shard_backend(args: argparse.Namespace) -> None:
+    if args.shard_backend == "processes" and (args.index != "oif" or args.shards <= 1):
+        raise ReproError("--shard-backend processes needs --index oif with --shards > 1")
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
+    _check_shard_backend(args)
     dataset = read_transactions(args.data)
     index_class = _INDEX_CLASSES[args.index]
-    pool = None
+    handle = None
     if args.shard_backend == "processes":
-        if args.index != "oif" or args.shards <= 1:
-            raise ReproError(
-                "--shard-backend processes needs --index oif with --shards > 1"
-            )
-        from repro.core.shard import ShardProcessPool
-
-        # Catalog-enabled shard environments so the pool can image them.
-        index = ShardedIndex(dataset, args.shards, catalog_pages=True)
-        pool = ShardProcessPool(index, args.shard_workers)
-        index.attach_process_pool(pool)
+        handle = UpdatableShardedOIF(dataset, args.shards, processes=True)
+        index = handle.index
     elif args.shards > 1:
         index = ShardedIndex(
             dataset, args.shards, factory=lambda shard_ds: index_class(shard_ds)
@@ -392,8 +384,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             stats.strip_dirs().sort_stats("cumulative").print_stats(args.cpu_profile)
         return 0
     finally:
-        if pool is not None:
-            pool.close()
+        if handle is not None:
+            handle.close()
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -447,6 +439,8 @@ def build_server(args: argparse.Namespace):
     """Construct (and pre-load) the service server for ``repro-oif serve``."""
     from repro.service import ServiceServer
 
+    if args.data:
+        _check_shard_backend(args)
     server = ServiceServer(
         host=args.host,
         port=args.port,
@@ -461,7 +455,6 @@ def build_server(args: argparse.Namespace):
         checkpoint_interval=args.checkpoint_interval,
         fsync=args.fsync,
         shard_backend=args.shard_backend,
-        shard_workers=args.shard_workers,
         max_queue=args.max_queue,
         max_inflight_per_index=args.max_inflight_per_index,
         default_deadline_ms=args.default_deadline_ms,
@@ -475,14 +468,6 @@ def build_server(args: argparse.Namespace):
     if args.shards > 1 and not args.data:
         server.shutdown()
         raise ReproError("--shards only applies to the pre-loaded index; pass --data")
-    if args.shard_backend == "processes" and args.data and (
-        args.shards <= 1 or args.index != "oif"
-    ):
-        server.shutdown()
-        raise ReproError(
-            "--shard-backend processes needs the pre-loaded index to be "
-            "--index oif with --shards > 1"
-        )
     if args.data and args.name in server.manager:
         # --data-dir already brought this name back; the transaction file was
         # only its original seed, so don't build (or error) over the

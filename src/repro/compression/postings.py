@@ -40,28 +40,24 @@ encoder.  ``Posting`` stays as a lazy per-element view for compatibility:
 iterating or indexing a :class:`PostingColumns` materializes postings on
 demand.
 
-numpy backend
--------------
-numpy is a first-class, selectable backend for the whole posting layer —
-the vectorized decoder here, the bitmap kernels in
+numpy paths
+-----------
+The vectorized decoder here, the bitmap kernels in
 :mod:`repro.core.intersect` and the packed-word conversions in
-:mod:`repro.core.postings` all route through :func:`numpy_module`.  The
-backend is picked by :func:`set_backend` (or the ``REPRO_POSTINGS_BACKEND``
-environment variable) from three modes:
+:mod:`repro.core.postings` use numpy when it is importable, through
+:func:`numpy_module`; the decoder only switches to it at
+:data:`_VECTOR_DECODE_BYTES`, below which the fixed vector-op dispatch
+overhead loses to the tight Python loop.  Every vectorized path has a
+pure-Python twin with bit-identical results.  :func:`set_backend` is the
+test seam between the two modes:
 
-* ``auto`` (default) — numpy when importable, with a size gate on the
-  decoder (:data:`_VECTOR_DECODE_BYTES`) below which the fixed vector-op
-  dispatch overhead loses to the tight Python loop;
-* ``numpy`` — numpy wherever applicable, without the decoder's size gate
-  (useful for measuring the crossover);
+* ``auto`` (default) — numpy when importable;
 * ``python`` — pure-Python everywhere, exactly what runs when numpy is not
-  installed.  All results are bit-identical across the three modes; the CI
-  no-numpy job keeps the pure paths green.
+  installed.  The CI no-numpy job keeps these paths green.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from array import array
 from itertools import accumulate, chain
@@ -83,17 +79,13 @@ _PAYLOAD_MASK = 0x7F
 #: (OIF blocks sit well under this; whole IF lists sit well over it).
 _VECTOR_DECODE_BYTES = 1536
 
-#: The three posting-layer backends (see the module docstring).
-_BACKENDS = ("auto", "numpy", "python")
-_backend = os.environ.get("REPRO_POSTINGS_BACKEND", "auto").lower()
-if _backend not in _BACKENDS:  # a typo'd env var must not silently go pure
-    raise CompressionError(
-        f"REPRO_POSTINGS_BACKEND={_backend!r} is not one of {_BACKENDS}"
-    )
+#: The two posting-layer modes (see the module docstring).
+_BACKENDS = ("auto", "python")
+_backend = "auto"
 
 
 def set_backend(mode: str) -> None:
-    """Select the posting-layer backend: ``auto``, ``numpy`` or ``python``."""
+    """Select the posting-layer mode: ``auto`` or ``python``."""
     global _backend
     if mode not in _BACKENDS:
         raise CompressionError(f"backend {mode!r} is not one of {_BACKENDS}")
@@ -268,9 +260,7 @@ def decode_columns(data: bytes, *, compress: bool = True, offset: int = 0) -> Po
     if not data:
         return PostingColumns(array("Q"), array("Q"))
 
-    if numpy_module() is not None and (
-        _backend == "numpy" or len(data) >= _VECTOR_DECODE_BYTES
-    ):
+    if numpy_module() is not None and len(data) >= _VECTOR_DECODE_BYTES:
         columns = _decode_columns_vectorized(data, compress)
         if columns is not None:
             return columns

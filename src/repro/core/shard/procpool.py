@@ -14,10 +14,9 @@ How a :class:`ShardProcessPool` works:
 
 * **images** — every shard's environment is snapshotted verbatim
   (:func:`~repro.durability.state.copy_environment` +
-  :func:`~repro.durability.state.dump_state`, the PR-7 on-disk format) into a
-  pool-private temp directory, or borrowed from a durable store's current
-  generation files.  Page ids are preserved, so the worker's page-access
-  accounting is bit-identical to the parent's;
+  :func:`~repro.durability.state.dump_state`, the durable on-disk format)
+  into a pool-private temp directory.  Page ids are preserved, so the
+  worker's page-access accounting is bit-identical to the parent's;
 * **workers** — one spawn-context, single-process executor per worker slot.
   Each worker opens a fixed subset of shards at startup
   (:func:`~repro.durability.state.load_environment` +
@@ -84,19 +83,13 @@ _JSON_SCALARS = (str, int, float, bool)
 
 @dataclass(frozen=True)
 class ShardImage:
-    """Pointer to one shard's on-disk snapshot (pages + JSON state).
-
-    ``owned`` marks images written by the pool itself (into its temp
-    directory) — those are deleted when superseded; borrowed images (a
-    durable store's generation files) are left alone.
-    """
+    """Pointer to one shard's snapshot (pages + JSON state) in the pool's temp dir."""
 
     position: int
     pages_path: str
     state_path: str
     page_size: int
     cache_bytes: int
-    owned: bool = True
 
 
 @dataclass(frozen=True)
@@ -309,6 +302,13 @@ def _worker_pid() -> int:
 # -- the parent-side pool --------------------------------------------------------------
 
 
+def usable_cpus() -> int:
+    """Cores this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class _Worker:
     """One worker slot: its single-process executor plus the shards it holds."""
@@ -354,7 +354,8 @@ class ShardProcessPool:
         catalog-enabled environment (``Environment(catalog=True)``) — the
         page-image format needs the page-0 catalog to reopen tables.
     num_workers:
-        Worker processes; defaults to ``min(cpu_count, live shards)``.
+        Worker processes; defaults to one per usable core
+        (:func:`usable_cpus`), at most one per live shard.
         Shards are pinned round-robin: position *i* (in live order) belongs
         to worker ``i % num_workers``.
     options:
@@ -362,10 +363,6 @@ class ShardProcessPool:
         ``use_metadata``, ...), recorded in each image's state file so the
         worker-side reopen decodes blocks identically.  Defaults to the
         options captured by the index itself.
-    images:
-        Optional pre-existing images (position → :class:`ShardImage`), e.g.
-        a durable store's checkpointed generation files; positions not named
-        are materialized into the pool's temp directory as usual.
     shm_threshold:
         Byte size at which result columns switch from inline pickling to
         shared memory; ``0`` disables shared memory entirely.
@@ -377,7 +374,6 @@ class ShardProcessPool:
         num_workers: "int | None" = None,
         *,
         options: "dict | None" = None,
-        images: "dict[int, ShardImage] | None" = None,
         shm_threshold: int = DEFAULT_SHM_THRESHOLD,
     ) -> None:
         self.index = index
@@ -410,18 +406,16 @@ class ShardProcessPool:
         if not positions:
             raise QueryError("the process backend needs at least one live shard")
         if num_workers is None:
-            num_workers = min(os.cpu_count() or 1, len(positions))
+            num_workers = min(usable_cpus(), len(positions))
         if num_workers < 1:
             raise QueryError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = min(num_workers, len(positions))
-        borrowed = dict(images or {})
         self._workers: list[_Worker] = []
         try:
             for worker_idx in range(self.num_workers):
-                owned = positions[worker_idx :: self.num_workers]
                 worker_images = {
-                    position: borrowed.get(position) or self._materialize(position)
-                    for position in owned
+                    position: self._materialize(position)
+                    for position in positions[worker_idx :: self.num_workers]
                 }
                 self._workers.append(self._spawn(worker_images))
             # Force every worker process to start (and run its initializer
@@ -467,7 +461,7 @@ class ShardProcessPool:
         )
 
     def _discard_image(self, image: "ShardImage | None") -> None:
-        if image is None or not image.owned:
+        if image is None:
             return
         for path in (image.pages_path, image.state_path):
             try:

@@ -36,7 +36,7 @@ from repro.concurrency import ReadWriteLock
 from repro.core.items import Item
 from repro.core.oif import OrderedInvertedFile
 from repro.core.records import Dataset, Record
-from repro.core.shard import ShardedIndex
+from repro.core.shard import ShardedIndex, ShardProcessPool
 from repro.errors import QueryError
 from repro.obs import trace
 from repro.storage.kvstore import Environment
@@ -155,6 +155,13 @@ class _UpdatableBase:
 
     def _configure(self) -> None:
         """Record the options :meth:`_build` needs (none by default)."""
+
+    def close(self) -> None:
+        """Release what the current disk index owns."""
+        self._release(self.index)
+
+    def _release(self, index) -> None:
+        """Free what ``index`` owns once it is retired (nothing by default)."""
 
     def _build(self, dataset: Dataset):
         """Build a fresh disk index over ``dataset`` — the wrapper's one build."""
@@ -335,6 +342,7 @@ class _UpdatableBase:
            journal into an empty delta.  Replayed records keep their
            acknowledged ids (the id counter never moved) and fire no
            listeners (each write invalidated its cache entries when acked).
+        4. With the lock released, :meth:`_release` the replaced index.
 
         The journal lives only between snapshot and swap.  One rebuild runs
         at a time; a second waits for the first.
@@ -351,9 +359,11 @@ class _UpdatableBase:
                 raise
             with self.rwlock.write_locked():
                 journal, self._journal = self._journal, None
+                replaced = self.index
                 self._install(dataset, index)
                 for frame in journal:
                     self._apply(frame)
+            self._release(replaced)
 
     def measured_evaluate(self, expr) -> "tuple[list[int], IOSnapshot]":
         """Answer ``expr`` over the disk index and the delta, plus its exact I/O.
@@ -455,6 +465,14 @@ class UpdatableShardedOIF(_UpdatableBase):
     records* — typically a fraction of the monolithic ``UpdatableOIF.flush``
     rebuild.  With ``max_workers`` (or a pool-sized default from the service
     layer) the affected shards rebuild concurrently.
+
+    With ``processes=True`` the wrapper owns a
+    :class:`~repro.core.shard.ShardProcessPool` over its index: the shards
+    are built on catalog environments (workers reopen them from page
+    images), a flush re-images the rebuilt shards, :meth:`rebuild` swaps in
+    a fresh pool with the fresh index, and :meth:`close` shuts it down.
+    Writes stay in the parent: buffered records and tombstones merge after
+    the workers' base-shard results come home.
     """
 
     def __init__(
@@ -465,30 +483,56 @@ class UpdatableShardedOIF(_UpdatableBase):
         strategy: str = "hash",
         max_workers: "int | None" = None,
         env_factory: "Callable[[], Environment] | None" = None,
+        processes: bool = False,
         **oif_kwargs,
     ) -> None:
+        if processes and env_factory is None:
+            oif_kwargs = {**oif_kwargs, "catalog_pages": True}
+        self._configure(processes=processes, **oif_kwargs)
         if env_factory is not None:
             # A factory cannot be combined with OIF options; without one the
-            # index records the options for the process backend's reopen.
+            # index records the options itself.
             oif_kwargs = {"factory": _shard_factory(env_factory, oif_kwargs)}
-        super().__init__(
-            dataset,
-            ShardedIndex(
-                dataset,
-                num_shards,
-                strategy=strategy,
-                max_workers=max_workers,
-                **oif_kwargs,
-            ),
+        index = ShardedIndex(
+            dataset, num_shards, strategy=strategy, max_workers=max_workers, **oif_kwargs
         )
+        super().__init__(dataset, self._start_pool(index))
+
+    @classmethod
+    def from_existing(cls, index, dataset: Dataset, *, next_id=None, **build_options):
+        """Wrap a reopened :class:`ShardedIndex`; ``processes=True`` starts its pool.
+
+        With processes on, ``build_options`` are the shards' OIF options,
+        which the workers need to reopen the shard images.
+        """
+        wrapper = super().from_existing(index, dataset, next_id=next_id, **build_options)
+        wrapper._start_pool(index)
+        return wrapper
+
+    def _configure(self, *, processes: bool = False, **oif_kwargs) -> None:
+        self._processes = processes
+        self._oif_kwargs = oif_kwargs
+
+    def _start_pool(self, index: ShardedIndex) -> ShardedIndex:
+        """Attach a fresh worker pool to ``index`` when processes are on."""
+        if self._processes:
+            index.attach_process_pool(ShardProcessPool(index, options=self._oif_kwargs))
+        return index
 
     def _build(self, dataset: Dataset) -> ShardedIndex:
-        """Shards over ``dataset`` laid out like the current ones.
+        """Shards over ``dataset`` laid out like the current ones, with their pool.
 
         The shard count, strategy, shard factory and build workers are read
         back from the current :class:`ShardedIndex`.
         """
-        return self.index.rebuilt_over(dataset)
+        return self._start_pool(self.index.rebuilt_over(dataset))
+
+    def _release(self, index: ShardedIndex) -> None:
+        """Close the worker pool this wrapper started for ``index``."""
+        pool = index.process_pool
+        if self._processes and pool is not None:
+            index.detach_process_pool()
+            pool.close()
 
     @property
     def num_shards(self) -> int:
@@ -503,7 +547,11 @@ class UpdatableShardedOIF(_UpdatableBase):
         return counts
 
     def flush(self, max_workers: "int | None" = None) -> UpdateReport:
-        """Merge the delta by rebuilding only the shards that own its records."""
+        """Merge the delta by rebuilding only the shards that own its records.
+
+        With processes on, :meth:`ShardedIndex.absorb` re-images the rebuilt
+        shards into the pool.
+        """
         with self.rwlock.write_locked():
             merged_count = self.pending_updates
             start = time.perf_counter()
@@ -515,32 +563,12 @@ class UpdatableShardedOIF(_UpdatableBase):
             self._install(self.index.dataset, self.index)
             return self._report(merged_count, start, report.io)
 
-    @property
-    def process_pool(self):
-        """The attached :class:`ShardProcessPool`, or ``None`` (delegated)."""
-        return self.index.process_pool
-
-    def attach_process_pool(self, pool) -> None:
-        """Route shard fan-out through a multiprocess backend.
-
-        Writes (``insert``/``delete``/``flush``) stay in the parent: the delta
-        buffer is merged after the workers' base-shard results come home, and
-        ``flush`` re-images the rebuilt shards into the pool automatically via
-        :meth:`ShardedIndex.absorb`.  :meth:`rebuild` replaces every shard,
-        so the pool stays with the old index; attach a new one afterwards.
-        """
-        self.index.attach_process_pool(pool)
-
-    def detach_process_pool(self):
-        """Detach and return the process pool (does not close it)."""
-        return self.index.detach_process_pool()
-
     def evaluate_detail(self, expr):
         """Like :meth:`evaluate`, plus the per-shard cost breakdown.
 
         The shards are materialized through
         :meth:`ShardedIndex.fanout_evaluate` (on the calling thread, or in
-        the attached process pool's workers); buffered delta records merge
+        the worker processes); buffered delta records merge
         in with zero page cost and the top-level limit slices the combined,
         sorted stream — identical semantics to the base ``evaluate``.
         """

@@ -406,7 +406,8 @@ class DurableIndex:
             return self.store.checkpoint(self._inner)
 
     def close(self) -> None:
-        """Release the WAL file handles (pages live in memory; see the WAL)."""
+        """Release the WAL file handles and whatever the wrapped handle owns."""
+        self._inner.close()
         self.store.close()
 
 
@@ -485,12 +486,16 @@ def open_index(
     fsync: "str | None" = None,
     cache_bytes: "int | None" = None,
     max_workers: "int | None" = None,
+    processes: bool = False,
 ) -> DurableIndex:
     """Reopen a persisted index: load pages, rebuild state, replay the WAL.
 
     Returns a queryable, updatable :class:`DurableIndex` without touching the
     source dataset — everything needed is inside ``directory``.  ``fsync``
     and ``cache_bytes`` default to the values recorded in the manifest.
+    ``processes`` runs a sharded index's shards in worker processes (see
+    :class:`~repro.core.updates.UpdatableShardedOIF`); a monolithic index
+    ignores it.
     """
     manifest = read_manifest(directory)
     page_size = manifest["page_size"]
@@ -504,7 +509,7 @@ def open_index(
                 _shard_dir(directory, position), keep=manifest["generation"]
             )
         handle = _open_sharded(
-            directory, manifest, env_cache, options, env_factory, max_workers
+            directory, manifest, env_cache, options, env_factory, max_workers, processes
         )
     elif manifest["kind"] == KIND_OIF:
         handle = _open_monolithic(directory, manifest, env_cache, options, env_factory)
@@ -548,7 +553,9 @@ def _open_monolithic(directory, manifest, cache_bytes, options, env_factory):
     )
 
 
-def _open_sharded(directory, manifest, cache_bytes, options, env_factory, max_workers):
+def _open_sharded(
+    directory, manifest, cache_bytes, options, env_factory, max_workers, processes
+):
     shards: "list[OrderedInvertedFile | None]" = [None] * manifest["shards"]
     records: list[Record] = []
     for position in manifest["shard_positions"]:
@@ -569,4 +576,6 @@ def _open_sharded(directory, manifest, cache_bytes, options, env_factory, max_wo
         ),
         max_workers=max_workers,
     )
-    return UpdatableShardedOIF.from_existing(index, dataset, next_id=manifest["next_id"])
+    return UpdatableShardedOIF.from_existing(
+        index, dataset, next_id=manifest["next_id"], processes=processes, **options
+    )

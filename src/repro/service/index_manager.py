@@ -46,7 +46,7 @@ from repro.concurrency import ReadWriteLock
 from repro.core.interfaces import SetContainmentIndex
 from repro.core.items import Item
 from repro.core.records import Dataset
-from repro.core.shard import ShardProcessPool, ShardQueryStat
+from repro.core.shard import ShardQueryStat
 from repro.core.updates import (
     UpdatableIF,
     UpdatableOIF,
@@ -78,9 +78,9 @@ _STATIC_CLASSES = {
 }
 
 #: How sharded entries fan queries out: ``threads`` runs the shards in
-#: process, on the querying thread (exact but GIL-bound); ``processes`` uses
-#: a persistent worker-process pool (see
-#: :class:`repro.core.shard.ShardProcessPool`).
+#: process, on the querying thread (exact but GIL-bound); ``processes`` runs
+#: them in a persistent worker-process pool owned by the sharded handle (see
+#: :class:`repro.core.updates.UpdatableShardedOIF`).
 SHARD_BACKENDS = ("threads", "processes")
 
 
@@ -107,52 +107,22 @@ class ManagedIndex:
         *,
         catalog_envs: bool = False,
         handle=None,
-        shard_backend: str = "threads",
-        shard_workers: "int | None" = None,
+        processes: bool = False,
         **options,
     ) -> None:
         if kind not in INDEX_KINDS:
             raise ServiceError(
                 f"unknown index kind {kind!r}; expected one of {list(INDEX_KINDS)}"
             )
-        if shard_backend not in SHARD_BACKENDS:
-            raise ServiceError(
-                f"unknown shard_backend {shard_backend!r}; "
-                f"expected one of {list(SHARD_BACKENDS)}"
-            )
-        if shard_workers is not None and (
-            isinstance(shard_workers, bool)
-            or not isinstance(shard_workers, int)
-            or shard_workers < 1
-        ):
-            raise ServiceError(
-                f"'shard_workers' must be a positive integer, got {shard_workers!r}"
-            )
-        if shard_backend == "processes":
-            shards = options.get("shards")
-            if kind != "oif" or not (
-                isinstance(shards, int) and not isinstance(shards, bool) and shards > 1
-            ):
-                raise ServiceError(
-                    "shard_backend 'processes' requires kind 'oif' with 'shards' > 1"
-                )
-            # Worker processes reopen shards from page images, which needs
-            # the page-0 catalog — force catalog environments regardless of
-            # whether the entry is also persisted.
-            catalog_envs = True
         self.name = name
         self.kind = kind
-        self.shard_backend = shard_backend
-        self.shard_workers = shard_workers
-        self._shard_pool: "ShardProcessPool | None" = None
         self.options = dict(options)
         #: Build (or build-and-flush-rebuild) on catalog-enabled storage
         #: environments, the prerequisite for persisting the page images.
         self.catalog_envs = catalog_envs or handle is not None
         #: Reader-writer guard: shared for queries, exclusive for mutation.
         self.lock = ReadWriteLock()
-        #: Serializes rebuilds, shard-pool re-attach included; queries
-        #: proceed under :attr:`lock`.
+        #: Serializes rebuilds; queries proceed under :attr:`lock`.
         self.rebuild_lock = threading.Lock()
         #: Set (under the write lock) when the index is evicted, so an
         #: in-flight evaluation cannot re-populate the result cache after
@@ -160,11 +130,14 @@ class ManagedIndex:
         self.dropped = False
         start = time.perf_counter()
         # ``handle`` adopts an already-opened index (the ``open_resident``
-        # path): no build happens.
-        self._handle = handle if handle is not None else self._build_handle(dataset)
+        # path): no build happens.  ``processes`` reaches only a sharded
+        # build, whose handle then runs its shards in worker processes.
+        self._handle = (
+            handle if handle is not None else self._build_handle(dataset, processes)
+        )
         self.build_seconds = time.perf_counter() - start
 
-    def _build_handle(self, dataset: Dataset):
+    def _build_handle(self, dataset: Dataset, processes: bool = False):
         options = dict(self.options)
         shards = options.pop("shards", None)
         build_workers = options.pop("build_workers", None)
@@ -201,6 +174,7 @@ class ManagedIndex:
                     shards,
                     max_workers=build_workers or shards,
                     env_factory=env_factory,
+                    processes=processes,
                     **options,
                 )
             return UpdatableOIF(dataset, env_factory=env_factory, **options)
@@ -239,50 +213,6 @@ class ManagedIndex:
                 seed=seed,
                 dataset_config=dataset_config,
             )
-
-    def attach_shard_pool(self) -> "ShardProcessPool | None":
-        """Spawn the multiprocess shard backend (``shard_backend='processes'``).
-
-        Durable entries checkpoint on demand first (a fresh generation keeps
-        the WAL short and the base shards maximal before imaging); then every
-        live shard is materialized into the pool's temp directory and its
-        owning worker opens it.  No-op for the threads backend; idempotent.
-        """
-        if self.shard_backend != "processes" or self._shard_pool is not None:
-            return self._shard_pool
-        inner = _unwrap(self._handle)
-        if not isinstance(inner, UpdatableShardedOIF):
-            raise ServiceError(
-                f"index {self.name!r} is not sharded; the process backend "
-                "needs an 'oif' entry with 'shards' > 1"
-            )
-        if self.is_durable:
-            self.checkpoint(force=False)
-        pool_options = {
-            key: value
-            for key, value in self.options.items()
-            if key not in ("shards", "strategy", "build_workers")
-        }
-        pool = ShardProcessPool(
-            inner.index, self.shard_workers, options=pool_options
-        )
-        try:
-            inner.attach_process_pool(pool)
-        except BaseException:
-            pool.close()
-            raise
-        self._shard_pool = pool
-        return pool
-
-    def close_shard_pool(self) -> None:
-        """Detach and shut down the process backend (no-op when absent)."""
-        pool, self._shard_pool = self._shard_pool, None
-        if pool is None:
-            return
-        inner = _unwrap(self._handle)
-        if getattr(inner, "process_pool", None) is pool:
-            inner.detach_process_pool()
-        pool.close()
 
     # -- introspection ---------------------------------------------------------------
 
@@ -332,9 +262,9 @@ class ManagedIndex:
                 out["shards"] = self._handle.num_shards
                 out["shard_records"] = self._handle.index.shard_record_counts()
                 out["pending_per_shard"] = self._handle.pending_per_shard()
-                out["shard_backend"] = self.shard_backend
-                if self._shard_pool is not None:
-                    out["shard_workers"] = self._shard_pool.num_workers
+                out["shard_backend"] = (
+                    "threads" if self._handle.index.process_pool is None else "processes"
+                )
             if self.is_durable:
                 store = self._handle.store
                 out["durable"] = True
@@ -363,8 +293,8 @@ class ManagedIndex:
 
         Holds only the *read* side of the entry lock, so any number of
         queries evaluate concurrently.  Sharded handles evaluate their shards
-        one after another on the calling thread, or in the process backend's
-        workers when one is attached.
+        one after another on the calling thread, or in the handle's worker
+        processes.
         """
         with self.lock.read_locked():
             if isinstance(_unwrap(self._handle), UpdatableShardedOIF):
@@ -393,13 +323,11 @@ class ManagedIndex:
     def close(self) -> None:
         """Release per-entry resources.
 
-        Durable entries own open WAL file handles through their store;
-        process-backend entries own their worker pool; plain entries own
-        nothing (in-process fan-out runs on the querying thread) and close
-        as a no-op.
+        Durable entries own open WAL file handles through their store, and a
+        process-backed sharded handle owns its worker pool; the handle's
+        ``close`` releases both.  Static kinds own nothing.
         """
-        self.close_shard_pool()
-        if self.is_durable:
+        if self.supports_updates:
             self._handle.close()
 
     def insert(self, transactions: Iterable[Iterable[Item]]) -> list[int]:
@@ -477,11 +405,6 @@ class ManagedIndex:
                 with self.lock.write_locked():
                     self._handle = fresh
             self.build_seconds = time.perf_counter() - start
-            if self._shard_pool is not None:
-                # The pool's workers hold images of the replaced shards;
-                # spawn a fresh one over the rebuilt index.
-                self.close_shard_pool()
-                self.attach_shard_pool()
 
 
 class IndexManager:
@@ -500,7 +423,6 @@ class IndexManager:
         data_dir: "str | None" = None,
         fsync: str = "always",
         shard_backend: str = "threads",
-        shard_workers: "int | None" = None,
     ) -> None:
         if shard_backend not in SHARD_BACKENDS:
             raise ServiceError(
@@ -510,10 +432,9 @@ class IndexManager:
         self.result_cache = result_cache
         self.data_dir = data_dir
         self.fsync = fsync
-        #: Default fan-out backend for sharded entries; a create request can
-        #: override it per index with a ``shard_backend`` option.
+        #: Fan-out backend of every sharded entry, created or recovered;
+        #: unsharded entries always run in process.
         self.shard_backend = shard_backend
-        self.shard_workers = shard_workers
         self._indexes: dict[str, ManagedIndex] = {}
         self._registry_lock = threading.RLock()
 
@@ -562,24 +483,14 @@ class IndexManager:
             # build below runs without blocking access to other indexes.
             self._indexes[name] = None  # type: ignore[assignment]
         durable = self.data_dir is not None and kind == "oif"
-        explicit_backend = "shard_backend" in options
-        shard_backend = options.pop("shard_backend", self.shard_backend)
-        shard_workers = options.pop("shard_workers", self.shard_workers)
-        shards = options.get("shards")
-        if not explicit_backend and shard_backend == "processes" and not (
-            isinstance(shards, int) and not isinstance(shards, bool) and shards > 1
-        ):
-            # The server-wide default must not break unsharded creates; an
-            # explicit per-request 'processes' ask still fails loudly.
-            shard_backend = "threads"
+        entry = None
         try:
             entry = ManagedIndex(
                 name,
                 kind,
                 dataset,
                 catalog_envs=durable,
-                shard_backend=shard_backend,
-                shard_workers=shard_workers,
+                processes=self.shard_backend == "processes",
                 **options,
             )
             if durable:
@@ -588,8 +499,9 @@ class IndexManager:
                     fsync=self.fsync,
                     dataset_config=dataset_config,
                 )
-            entry.attach_shard_pool()
         except BaseException:
+            if entry is not None:
+                entry.close()
             with self._registry_lock:
                 self._indexes.pop(name, None)
             raise
@@ -636,30 +548,20 @@ class IndexManager:
                     )
             with obs_trace.span("index.recover", index=name):
                 start = time.perf_counter()
-                durable = open_index(directory, fsync=self.fsync)
+                durable = open_index(
+                    directory,
+                    fsync=self.fsync,
+                    processes=self.shard_backend == "processes",
+                )
                 store = durable.store
                 options = store.options
                 if store.kind == "sharded-oif":
                     options["shards"] = store.manifest["shards"]
                     if store.manifest.get("strategy", "hash") != "hash":
                         options["strategy"] = store.manifest["strategy"]
-                # The manager-wide process backend applies only to entries it
-                # can serve (sharded); monolithic recoveries stay threaded.
-                backend = (
-                    self.shard_backend
-                    if options.get("shards", 0) and options["shards"] > 1
-                    else "threads"
-                )
                 entry = ManagedIndex(
-                    name,
-                    "oif",
-                    durable.dataset,
-                    handle=durable,
-                    shard_backend=backend,
-                    shard_workers=self.shard_workers,
-                    **options,
+                    name, "oif", durable.dataset, handle=durable, **options
                 )
-                entry.attach_shard_pool()
                 self._register(name, entry)
                 recovered.append(
                     {
@@ -701,13 +603,11 @@ class IndexManager:
         # cache stale results under a name that may be reused.
         with entry.lock.write_locked():
             entry.dropped = True
-        entry.close_shard_pool()
+        entry.close()
         if entry.is_durable:
             # Dropping a durable index removes its on-disk directory too —
             # a restart must not resurrect an index the client evicted.
             entry._handle.store.destroy()
-        else:
-            entry.close()
         if self.result_cache is not None:
             self.result_cache.invalidate_index(name)
 
@@ -738,9 +638,7 @@ class IndexManager:
 
         A clean shutdown checkpoints every durable index so the next open is
         a pure page load with an empty WAL; pass ``checkpoint=False`` to
-        skip that (crash-simulation paths).  Plain entries own no resources
-        (in-process fan-out runs on the querying thread) and close as a
-        no-op.
+        skip that (crash-simulation paths).
         """
         for entry in self:
             if checkpoint and entry.is_durable and not entry.dropped:

@@ -133,7 +133,6 @@ class ServiceServer:
         checkpoint_interval: "float | None" = None,
         fsync: str = "always",
         shard_backend: str = "threads",
-        shard_workers: "int | None" = None,
         max_queue: "int | None" = None,
         max_inflight_per_index: "int | None" = None,
         default_deadline_ms: "float | None" = None,
@@ -177,7 +176,6 @@ class ServiceServer:
                 data_dir=data_dir,
                 fsync=fsync,
                 shard_backend=shard_backend,
-                shard_workers=shard_workers,
             )
             self.executor = QueryExecutor(
                 self.manager,

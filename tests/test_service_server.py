@@ -152,6 +152,22 @@ def test_invalid_index_options_map_to_400(client):
     client.drop_index("opts")
 
 
+@pytest.mark.parametrize("option", ["shard_backend", "shard_workers"])
+def test_per_create_shard_backend_options_map_to_400(client, option):
+    # The backend is one server-wide setting, not a per-index option.
+    with pytest.raises(ServiceError, match="invalid index options"):
+        client._request(
+            "POST",
+            "/indexes",
+            {
+                "name": "opts",
+                "transactions": [["a"], ["b"]],
+                "shards": 2,
+                "options": {option: "processes" if option == "shard_backend" else 2},
+            },
+        )
+
+
 def test_malformed_content_length_maps_to_400(server):
     import http.client
 
